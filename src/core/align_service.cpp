@@ -19,7 +19,6 @@
 #include "util/bounded_queue.hpp"
 #include "util/cancel_token.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -111,9 +110,7 @@ struct AlignService::Impl {
   const AlignerOptions& options;  ///< owned by the enclosing AlignService
   const ServiceOptions& service;
 
-  std::unique_ptr<AlignBackend> primary;
-  std::vector<std::unique_ptr<AlignBackend>> replicas;
-  std::vector<AlignBackend*> worker_backends;
+  std::vector<std::unique_ptr<AlignBackend>> backends;  ///< one per align worker
 
   mutable std::mutex mutex;
   std::condition_variable work_cv;  ///< wakes the batcher
@@ -142,28 +139,12 @@ struct AlignService::Impl {
       : options(opts),
         service(svc),
         inflight(std::max<std::size_t>(1, svc.max_inflight_batches)) {
-    primary = make_backend(options);
-    const std::size_t n_workers = std::max<std::size_t>(1, service.align_threads);
-    if (n_workers == 1) {
-      worker_backends.push_back(primary.get());
-    } else {
-      // Replicate like StreamAligner: no lane is ever shared across worker
-      // threads, and CPU replicas split the host thread budget between them.
-      AlignerOptions wopts = options;
-      if (options.backend == Backend::kCpu) {
-        int total =
-            options.cpu_threads > 0 ? options.cpu_threads : util::max_parallel_threads();
-        wopts.cpu_threads = std::max(1, total / static_cast<int>(n_workers));
-      }
-      for (std::size_t w = 0; w < n_workers; ++w) {
-        replicas.push_back(make_backend(wopts));
-        worker_backends.push_back(replicas.back().get());
-      }
-    }
+    // One backend per worker: no lane is ever shared across worker threads.
+    backends = make_worker_backends(options, std::max<std::size_t>(1, service.align_threads));
     batcher = std::thread([this] { batcher_loop(); });
-    workers.reserve(worker_backends.size());
-    for (AlignBackend* backend : worker_backends) {
-      workers.emplace_back([this, backend] { worker_loop(backend); });
+    workers.reserve(backends.size());
+    for (const auto& backend : backends) {
+      workers.emplace_back([this, b = backend.get()] { worker_loop(b); });
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "align/batch.hpp"
@@ -226,6 +227,13 @@ std::uint64_t chaining_traffic_bytes(std::size_t anchors, std::size_t updates) {
          static_cast<std::uint64_t>(updates) * 8;
 }
 
+/// One of `parts` even shares of a host thread budget (0 = hardware
+/// concurrency), never below one thread.
+int thread_share(int threads_total, int parts) {
+  const int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
+  return std::max(1, total / parts);
+}
+
 }  // namespace
 
 std::vector<double> lane_weights(const AlignBackend& backend) {
@@ -236,97 +244,32 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
   return weights;
 }
 
-CpuBackend::CpuBackend(align::ScoringScheme scoring, int lanes, int threads_total,
-                       align::Score zdrop, LongReadPolicy longread)
-    : scoring_(scoring), lanes_(lanes), zdrop_(zdrop), longread_(longread) {
-  SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(lanes_ >= 1, "CPU backend needs at least one lane");
-  if (lanes_ > 1) {
-    // Divide the host budget so concurrent lanes share, not fight over,
-    // the cores. A single lane keeps the library-default team.
-    int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
-    threads_per_lane_ = std::max(1, total / lanes_);
-  } else if (threads_total > 0) {
-    threads_per_lane_ = threads_total;
-  }
-}
-
-double CpuBackend::lane_weight(int lane) const {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  return threads_per_lane_ > 0 ? static_cast<double>(threads_per_lane_) : 1.0;
-}
-
-BackendOutput CpuBackend::run(const seq::PairBatch& batch, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
-  if (routed.empty()) {
-    align::BatchTiming timing;
-    BackendOutput out;
-    out.results = align::align_batch(batch, scoring_, &timing, threads_per_lane_, zdrop_);
-    out.time_ms = timing.wall_ms;
-    out.cells = timing.cells;
-    return out;
-  }
-  auto [out, lr] = run_with_longread(
-      batch, routed, scoring_, longread_.xdrop, threads_per_lane_,
-      [&](const seq::PairBatch& rest) {
-        align::BatchTiming timing;
-        BackendOutput rest_out;
-        rest_out.results =
-            align::align_batch(rest, scoring_, &timing, threads_per_lane_, zdrop_);
-        rest_out.time_ms = timing.wall_ms;
-        rest_out.cells = timing.cells;
-        return rest_out;
-      });
-  out.time_ms += lr.wall_ms;
-  return std::move(out);
-}
-
-TracebackOutput CpuBackend::run_traceback(const seq::PairBatch& batch,
-                                          std::span<const align::AlignmentResult> results,
-                                          const TracebackSettings& settings, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  util::Timer timer;
-  EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, settings,
-                                  threads_per_lane_, longread_);
-  TracebackOutput out;
-  out.traced = std::move(phase.traced);
-  out.cells = phase.cells + phase.xdrop_cells;
-  out.time_ms = timer.millis();
-  return out;
-}
-
-ChainingOutput CpuBackend::run_chaining(const seedext::ChainBatch& batch,
-                                        std::span<const std::size_t> tasks, int lane) {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes_, "lane " << lane << " out of range");
-  return chain_shard(batch, tasks, threads_per_lane_);
-}
-
-SimdCpuBackend::SimdCpuBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                               int threads_total, align::Score zdrop,
-                               LongReadPolicy longread)
+HostBackend::HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
+                         int threads_total, align::Score zdrop, LongReadPolicy longread)
     : scoring_(scoring), kinds_(std::move(kinds)), zdrop_(zdrop), longread_(longread) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(!kinds_.empty(), "SIMD backend needs at least one lane");
+  SALOBA_CHECK_MSG(!kinds_.empty(), "host backend needs at least one lane");
   if (kinds_.size() > 1) {
-    int total = threads_total > 0 ? threads_total : util::max_parallel_threads();
-    threads_per_lane_ = std::max(1, total / static_cast<int>(kinds_.size()));
+    // Divide the host budget so concurrent lanes share, not fight over,
+    // the cores. A single lane keeps the library-default team.
+    threads_per_lane_ = thread_share(threads_total, lanes());
   } else if (threads_total > 0) {
     threads_per_lane_ = threads_total;
   }
-  const bool mixed =
-      std::any_of(kinds_.begin(), kinds_.end(),
-                  [](LaneKind k) { return k == LaneKind::kScalar; });
-  name_ = mixed ? "simd+cpu" : "simd";
-}
-
-double SimdCpuBackend::lane_weight(int lane) const {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   const double threads = threads_per_lane_ > 0 ? static_cast<double>(threads_per_lane_) : 1.0;
-  return lane_kind(lane) == LaneKind::kSimd ? threads * simd_lane_speedup() : threads;
+  for (LaneKind kind : kinds_) {
+    weights_.push_back(kind == LaneKind::kSimd ? threads * simd_lane_speedup() : threads);
+  }
+  const auto simd_lanes = std::count(kinds_.begin(), kinds_.end(), LaneKind::kSimd);
+  name_ = simd_lanes == 0 ? "cpu" : simd_lanes == lanes() ? "simd" : "simd+cpu";
 }
 
-BackendOutput SimdCpuBackend::run(const seq::PairBatch& batch, int lane) {
+double HostBackend::lane_weight(int lane) const {
+  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
+  return weights_[static_cast<std::size_t>(lane)];
+}
+
+BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   auto run_engine = [&](const seq::PairBatch& b) {
     BackendOutput out;
@@ -351,9 +294,9 @@ BackendOutput SimdCpuBackend::run(const seq::PairBatch& batch, int lane) {
   return std::move(out);
 }
 
-TracebackOutput SimdCpuBackend::run_traceback(const seq::PairBatch& batch,
-                                              std::span<const align::AlignmentResult> results,
-                                              const TracebackSettings& settings, int lane) {
+TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
+                                           std::span<const align::AlignmentResult> results,
+                                           const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
   EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, settings,
@@ -365,11 +308,9 @@ TracebackOutput SimdCpuBackend::run_traceback(const seq::PairBatch& batch,
   return out;
 }
 
-ChainingOutput SimdCpuBackend::run_chaining(const seedext::ChainBatch& batch,
-                                            std::span<const std::size_t> tasks, int lane) {
+ChainingOutput HostBackend::run_chaining(const seedext::ChainBatch& batch,
+                                         std::span<const std::size_t> tasks, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  // Both lane kinds run the same engine: chaining's scalar/vector split is a
-  // per-task ISA dispatch inside chain_tasks_run, not a lane property.
   return chain_shard(batch, tasks, threads_per_lane_);
 }
 
@@ -377,7 +318,7 @@ double simd_lane_speedup() {
   // Deterministic probe: one cohort-friendly batch of related pairs, both
   // engines timed single-threaded (lane weights already scale by thread
   // count), min of two reps each after a shared warm-up. Static-local: runs
-  // once per process, at the first SimdCpuBackend weight query.
+  // once per process, when the first HostBackend with a SIMD lane is built.
   static const double ratio = [] {
     util::Xoshiro256 rng(0x5a10ba);
     seq::PairBatch probe;
@@ -553,47 +494,45 @@ ChainingOutput SimulatedGpuBackend::run_chaining(const seedext::ChainBatch& batc
 }
 
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
-  if (options.backend == Backend::kCpu) {
-    const std::vector<std::string> presets = device_preset_list(options.device);
-    const bool any_host = std::any_of(presets.begin(), presets.end(), is_host_preset);
-    if (!any_host) {
-      // Legacy shape: Backend::kCpu with a GPU preset name (the "rtx3090"
-      // default) — the device string only matters to the simulated backend.
-      return std::make_unique<CpuBackend>(options.scoring, options.cpu_lanes,
-                                          options.cpu_threads, options.zdrop,
-                                          options.longread_policy());
-    }
-    if (!std::all_of(presets.begin(), presets.end(), is_host_preset)) {
-      throw std::invalid_argument(
-          "device list \"" + options.device +
-          "\" mixes host engines (cpu/simd) with GPU presets; host lanes and "
-          "simulated devices cannot share one backend");
-    }
-    const bool any_simd = std::any_of(presets.begin(), presets.end(),
-                                      [](const std::string& p) { return p == "simd"; });
-    if (!any_simd) {
-      // All-"cpu" list: the scalar host backend, one lane per entry (a
-      // single "cpu" keeps the cpu_lanes knob in charge, like before).
-      const int lanes = presets.size() > 1 ? static_cast<int>(presets.size())
-                                           : std::max(1, options.cpu_lanes);
-      return std::make_unique<CpuBackend>(options.scoring, lanes, options.cpu_threads,
-                                          options.zdrop, options.longread_policy());
-    }
-    std::vector<SimdCpuBackend::LaneKind> kinds;
-    if (presets.size() == 1) {
-      kinds.assign(static_cast<std::size_t>(std::max(1, options.cpu_lanes)),
-                   SimdCpuBackend::LaneKind::kSimd);
-    } else {
-      for (const std::string& p : presets) {
-        kinds.push_back(p == "simd" ? SimdCpuBackend::LaneKind::kSimd
-                                    : SimdCpuBackend::LaneKind::kScalar);
-      }
-    }
-    return std::make_unique<SimdCpuBackend>(options.scoring, std::move(kinds),
-                                            options.cpu_threads, options.zdrop,
-                                            options.longread_policy());
+  if (options.backend != Backend::kCpu) return std::make_unique<SimulatedGpuBackend>(options);
+  if (options.cpu_lanes < 1) {
+    throw std::invalid_argument("cpu_lanes=" + std::to_string(options.cpu_lanes) +
+                                " but a host backend needs at least one lane");
   }
-  return std::make_unique<SimulatedGpuBackend>(options);
+  std::vector<std::string> presets = device_preset_list(options.device);
+  if (std::none_of(presets.begin(), presets.end(), is_host_preset)) {
+    // GPU preset names (the "rtx3090" default) only matter to the simulated
+    // backend: the host runs its scalar engine.
+    presets = {"cpu"};
+  } else if (!std::all_of(presets.begin(), presets.end(), is_host_preset)) {
+    throw std::invalid_argument(
+        "device list \"" + options.device +
+        "\" mixes host engines (cpu/simd) with GPU presets; host lanes and "
+        "simulated devices cannot share one backend");
+  }
+  // A single entry stands for cpu_lanes identical lanes; a list is one lane
+  // per entry.
+  const std::size_t repeat =
+      presets.size() == 1 ? static_cast<std::size_t>(options.cpu_lanes) : 1;
+  std::vector<HostBackend::LaneKind> kinds;
+  for (const std::string& p : presets) {
+    kinds.insert(kinds.end(), repeat,
+                 p == "simd" ? HostBackend::LaneKind::kSimd : HostBackend::LaneKind::kScalar);
+  }
+  return std::make_unique<HostBackend>(options.scoring, std::move(kinds), options.cpu_threads,
+                                       options.zdrop, options.longread_policy());
+}
+
+std::vector<std::unique_ptr<AlignBackend>> make_worker_backends(const AlignerOptions& options,
+                                                                std::size_t workers) {
+  SALOBA_CHECK_MSG(workers >= 1, "need at least one worker backend");
+  AlignerOptions replica = options;
+  if (workers > 1 && options.backend == Backend::kCpu) {
+    replica.cpu_threads = thread_share(options.cpu_threads, static_cast<int>(workers));
+  }
+  std::vector<std::unique_ptr<AlignBackend>> backends;
+  for (std::size_t w = 0; w < workers; ++w) backends.push_back(make_backend(replica));
+  return backends;
 }
 
 }  // namespace saloba::core

@@ -24,7 +24,7 @@ namespace saloba::core {
 /// What one backend run on one lane produced.
 struct BackendOutput {
   std::vector<align::AlignmentResult> results;
-  /// Wall-clock milliseconds for the CPU backend; simulated kernel
+  /// Wall-clock milliseconds for the host backend; simulated kernel
   /// milliseconds for the simulated backend.
   double time_ms = 0.0;
   /// DP cells actually computed: in-band cells for banded pairs, minus any
@@ -42,7 +42,7 @@ struct TracebackOutput {
   /// One traced alignment per batch pair, input order. Pairs whose score
   /// pass found nothing (score 0) get the empty TracedAlignment.
   std::vector<align::TracedAlignment> traced;
-  /// Wall-clock milliseconds for the CPU backend; modeled traceback-phase
+  /// Wall-clock milliseconds for the host backend; modeled traceback-phase
   /// milliseconds for the simulated backend.
   double time_ms = 0.0;
   /// Engine cells spent on the phase (forward sweep + backward replay).
@@ -126,89 +126,58 @@ class AlignBackend {
 /// All of a backend's lane weights, in lane order (size == lanes()).
 std::vector<double> lane_weights(const AlignBackend& backend);
 
-/// The host OpenMP batch aligner (align::align_batch). One lane by default;
-/// `lanes > 1` splits the host into independent lanes the scheduler may run
-/// concurrently, each budgeted `threads_total / lanes` OpenMP threads
-/// (threads_total 0 = hardware concurrency) so overlapping shard runs never
-/// oversubscribe the machine and wall-clock timing stays honest.
-class CpuBackend final : public AlignBackend {
+/// The host backend: one lane per entry of `kinds`, each running either the
+/// inter-sequence SIMD engine (align::simd::align_batch) or the scalar
+/// OpenMP batch aligner (align::align_batch). Both engines are bit-identical
+/// (scores, endpoints, cell counts), so the lane kind is a speed property
+/// only: it chooses the engine inside run() and nothing else. Lanes split
+/// `threads_total` OpenMP threads evenly (threads_total 0 = hardware
+/// concurrency) so overlapping shard runs never oversubscribe the machine
+/// and wall-clock timing stays honest; a single lane keeps the default team
+/// unless `threads_total` caps it. Named "cpu" (all scalar), "simd" (all
+/// SIMD) or "simd+cpu" (mixed).
+class HostBackend final : public AlignBackend {
  public:
-  /// `zdrop > 0` applies z-drop row pruning to every pair (see
-  /// align::BandedParams::zdrop); per-pair bands come from the batch itself
-  /// (the scheduler materializes AlignerOptions band knobs into it).
-  /// An enabled `longread` policy routes qualifying pairs to the X-drop
-  /// wavefront engine in both run() and run_traceback() — routed pairs
-  /// ignore band and zdrop (see core::LongReadPolicy).
-  explicit CpuBackend(align::ScoringScheme scoring, int lanes = 1, int threads_total = 0,
-                      align::Score zdrop = 0, LongReadPolicy longread = {});
-
-  const std::string& name() const override { return name_; }
-  int lanes() const override { return lanes_; }
-  /// OpenMP thread cap per lane run; 0 = the default team (single lane).
-  int threads_per_lane() const { return threads_per_lane_; }
-  /// CPU lanes split one thread budget evenly, so every lane weighs its
-  /// per-lane thread count — uniform, keeping the unweighted scheduler path.
-  double lane_weight(int lane) const override;
-  BackendOutput run(const seq::PairBatch& batch, int lane) override;
-  /// Engine params mirror the score pass (per-pair band + this backend's
-  /// zdrop), so traced endpoints are bit-identical to run()'s results.
-  TracebackOutput run_traceback(const seq::PairBatch& batch,
-                                std::span<const align::AlignmentResult> results,
-                                const TracebackSettings& settings, int lane) override;
-  ChainingOutput run_chaining(const seedext::ChainBatch& batch,
-                              std::span<const std::size_t> tasks, int lane) override;
-
- private:
-  align::ScoringScheme scoring_;
-  int lanes_ = 1;
-  int threads_per_lane_ = 0;
-  align::Score zdrop_ = 0;
-  LongReadPolicy longread_;
-  std::string name_ = "cpu";
-};
-
-/// The inter-sequence SIMD batch aligner (align::simd::align_batch) as a
-/// first-class backend: 8/16-bit saturating vector lanes with an int32
-/// rescue ladder, bit-identical to CpuBackend's results (scores, endpoints,
-/// cell counts) but measured, not modeled, throughput. Selected via
-/// AlignerOptions.device = "simd" (Backend::kCpu); a mixed host list like
-/// "simd,cpu" builds one lane per entry, so the scheduler can split work
-/// cost-aware across a vector lane and a scalar lane.
-class SimdCpuBackend final : public AlignBackend {
- public:
-  /// What engine a lane runs: the SIMD cohort engine or the scalar batch
-  /// aligner (for mixed "simd,cpu" backends).
+  /// What engine a lane runs.
   enum class LaneKind { kSimd, kScalar };
 
-  /// One lane per entry of `kinds`; lanes split `threads_total` evenly like
-  /// CpuBackend. `zdrop > 0` applies z-drop pruning on every lane (both
-  /// engines implement the identical rule). An enabled `longread` policy
-  /// routes qualifying pairs to the X-drop wavefront engine on every lane
-  /// kind (scalar DP per routed pair — long pairs don't cohort anyway).
-  SimdCpuBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                 int threads_total = 0, align::Score zdrop = 0, LongReadPolicy longread = {});
+  /// `zdrop > 0` applies z-drop row pruning to every pair on every lane
+  /// (both engines implement the identical rule, see
+  /// align::BandedParams::zdrop); per-pair bands come from the batch itself
+  /// (the scheduler materializes AlignerOptions band knobs into it). An
+  /// enabled `longread` policy routes qualifying pairs to the X-drop
+  /// wavefront engine in both run() and run_traceback() on every lane kind
+  /// — routed pairs ignore band and zdrop (see core::LongReadPolicy).
+  HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
+              int threads_total = 0, align::Score zdrop = 0, LongReadPolicy longread = {});
 
   const std::string& name() const override { return name_; }
   int lanes() const override { return static_cast<int>(kinds_.size()); }
+  /// OpenMP thread cap per lane run; 0 = the default team (single lane).
   int threads_per_lane() const { return threads_per_lane_; }
   LaneKind lane_kind(int lane) const { return kinds_[static_cast<std::size_t>(lane)]; }
-  /// Thread budget x a *calibrated* engine throughput ratio: SIMD lanes
-  /// weigh simd_lane_speedup() times a scalar lane, so PR 3's weighted LPT
-  /// places shards by measured speed, not lane count.
+  /// Per-lane thread count x a *calibrated* engine throughput ratio: SIMD
+  /// lanes weigh simd_lane_speedup() times a scalar lane, so the weighted
+  /// LPT places shards by measured speed, not lane count. Computed once at
+  /// construction (the probe never runs for an all-scalar backend); scalar
+  /// lanes alone are uniform, keeping the unweighted scheduler path.
   double lane_weight(int lane) const override;
   BackendOutput run(const seq::PairBatch& batch, int lane) override;
-  /// Same engine and settings as CpuBackend's traceback phase: the SIMD
-  /// score pass is bit-identical to the scalar one, so the shared
-  /// linear-memory engine reproduces its endpoints exactly.
+  /// Engine params mirror the score pass (per-pair band + this backend's
+  /// zdrop), so traced endpoints are bit-identical to run()'s results on
+  /// either lane kind.
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;
+  /// Both lane kinds run the same engine: chaining's scalar/vector split is
+  /// a per-task ISA dispatch inside chain_tasks_run, not a lane property.
   ChainingOutput run_chaining(const seedext::ChainBatch& batch,
                               std::span<const std::size_t> tasks, int lane) override;
 
  private:
   align::ScoringScheme scoring_;
   std::vector<LaneKind> kinds_;
+  std::vector<double> weights_;
   int threads_per_lane_ = 0;
   align::Score zdrop_ = 0;
   LongReadPolicy longread_;
@@ -218,7 +187,7 @@ class SimdCpuBackend final : public AlignBackend {
 /// Measured single-thread throughput of align::simd::align_batch relative to
 /// the scalar align::align_batch: a deterministic micro-probe run once per
 /// process (cached), clamped to [1, 64] so a degenerate measurement can
-/// never starve a lane. This is SimdCpuBackend's lane-weight calibration.
+/// never starve a lane. This is HostBackend's lane-weight calibration.
 double simd_lane_speedup();
 
 /// A reproduced GPU kernel on N simulated devices. Each lane owns a
@@ -266,7 +235,20 @@ class SimulatedGpuBackend final : public AlignBackend {
   std::string name_;
 };
 
-/// Builds the backend `options` asks for.
+/// Builds the backend `options` asks for. Under Backend::kCpu the device
+/// list maps to HostBackend lane kinds: "simd" is a SIMD lane, "cpu" a
+/// scalar lane, and a list naming no host engine (the "rtx3090" default)
+/// one scalar lane; a single entry is repeated `cpu_lanes` times. Throws
+/// std::invalid_argument for cpu_lanes < 1 or a list mixing host engines
+/// with GPU presets.
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options);
+
+/// One backend per concurrent worker (StreamAligner / AlignService workers),
+/// so no lane is ever shared across threads: `workers` == 1 is
+/// make_backend(options); above that every replica is built from the same
+/// options, host replicas splitting cpu_threads (0 = hardware concurrency)
+/// evenly between them — the lanes' no-oversubscription rule one level up.
+std::vector<std::unique_ptr<AlignBackend>> make_worker_backends(const AlignerOptions& options,
+                                                                std::size_t workers);
 
 }  // namespace saloba::core

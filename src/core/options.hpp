@@ -11,7 +11,7 @@
 namespace saloba::core {
 
 enum class Backend {
-  kCpu,        ///< OpenMP batch aligner on the host (real wall-clock time)
+  kCpu,        ///< host engines, core::HostBackend (real wall-clock time)
   kSimulated,  ///< a kernel on the simulated GPU (simulated kernel time)
 };
 
@@ -21,7 +21,7 @@ enum class Backend {
 /// seedext::make_extension_jobs) always wins; this policy only applies to
 /// batches that carry no band information of their own. Z-drop is not part
 /// of the policy: it is a backend-construction knob (AlignerOptions::zdrop
-/// → CpuBackend), not something the scheduler applies per batch.
+/// → HostBackend), not something the scheduler applies per batch.
 struct BandPolicy {
   /// Fixed band floor: only cells with |i - j| <= band are computed
   /// (0 = full table unless band_frac sets one).
@@ -82,13 +82,13 @@ struct AlignerOptions {
   /// preset; the scheduler then partitions work by each lane's relative
   /// throughput (cost-aware weighted LPT).
   ///
-  /// With Backend::kCpu the list may instead name *host engines*: "simd"
-  /// (the inter-sequence SIMD batch engine, core::SimdCpuBackend) and "cpu"
-  /// (the scalar OpenMP aligner). "simd,cpu" builds a mixed host backend —
-  /// one lane per entry, SIMD lanes weighted by their measured speedup.
-  /// Host engines and GPU presets cannot be mixed in one list; a lone GPU
-  /// preset under Backend::kCpu keeps the legacy meaning (plain CpuBackend,
-  /// device string ignored).
+  /// With Backend::kCpu the list instead names the lanes of one
+  /// core::HostBackend: "simd" (the inter-sequence SIMD batch engine) and
+  /// "cpu" (the scalar OpenMP aligner). "simd,cpu" builds a mixed host
+  /// backend — one lane per entry, SIMD lanes weighted by their measured
+  /// speedup; a single entry is repeated cpu_lanes times. Host engines and
+  /// GPU presets cannot be mixed in one list; a list of GPU presets only
+  /// under Backend::kCpu means scalar lanes (device string ignored).
   std::string device = "rtx3090";
   align::ScoringScheme scoring;
   /// Paper-scale batch size used for footprint checks (0 = actual batch).
@@ -101,11 +101,11 @@ struct AlignerOptions {
   std::size_t band = 0;
   /// Query-proportional band: effective = max(band, band_frac · |query|).
   double band_frac = 0.0;
-  /// Z-drop early termination for the CPU backend's banded sweep (<= 0
+  /// Z-drop early termination for the host backend's banded sweep (<= 0
   /// disables). A pruning heuristic like BWA-MEM's: it can change results,
   /// so the simulated kernels — verified bit-exact against
   /// smith_waterman_banded — do not apply it. Takes effect at backend
-  /// construction (make_backend → CpuBackend), not through the scheduler.
+  /// construction (make_backend → HostBackend), not through the scheduler.
   align::Score zdrop = 0;
   /// The band knobs above as a BandPolicy (what the scheduler materializes).
   BandPolicy band_policy() const { return BandPolicy{band, band_frac}; }
@@ -136,8 +136,8 @@ struct AlignerOptions {
 
   // --- Scheduler (host-side batching) ------------------------------------
   /// Simulated devices the scheduler spreads shards across (Sec. VII-C
-  /// multi-GPU dispatch; simulated backend only — the CPU backend always
-  /// runs one lane). With 1 device and no shard cap, align() degenerates to
+  /// multi-GPU dispatch; simulated backend only — host lanes come from
+  /// cpu_lanes / the device list). With 1 device and no shard cap, align() degenerates to
   /// the classic single-launch path. When `device` lists several presets the
   /// lane count comes from the list instead; `devices` must then be 1 (the
   /// default) or match the list length.
@@ -152,12 +152,12 @@ struct AlignerOptions {
   gpusim::SplitPolicy split_policy = gpusim::SplitPolicy::kSorted;
   /// Worker threads for async shard dispatch (0 = one per device lane).
   std::size_t scheduler_threads = 0;
-  /// CPU backend lanes (>= 1): more than one splits the host into
-  /// independent lanes the scheduler can overlap, each budgeted
-  /// cpu_threads / cpu_lanes OpenMP threads so concurrent shards never
-  /// oversubscribe the machine.
+  /// Host backend lanes for a single-entry device string (>= 1; make_backend
+  /// throws otherwise): more than one splits the host into independent
+  /// lanes the scheduler can overlap, each budgeted cpu_threads / cpu_lanes
+  /// OpenMP threads so concurrent shards never oversubscribe the machine.
   int cpu_lanes = 1;
-  /// Total host threads the CPU backend may use (0 = hardware concurrency).
+  /// Total host threads the host backend may use (0 = hardware concurrency).
   int cpu_threads = 0;
 };
 
@@ -193,7 +193,7 @@ struct ServiceOptions {
   /// this bounds total resident pairs; the batcher blocks when it is hit.
   std::size_t max_inflight_batches = 4;
   /// Concurrent align workers. Above 1, each worker owns its own backend
-  /// replica (built from the same AlignerOptions), exactly like
+  /// replica (core::make_worker_backends), exactly like
   /// StreamOptions::align_threads.
   std::size_t align_threads = 1;
   /// Derive SchedulerOptions per merged batch via core::recommend_scheduler

@@ -11,7 +11,6 @@
 #include "core/schedule_cache.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace saloba::core {
@@ -124,26 +123,10 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
   });
 
   // Align workers: a single worker consumes on the primary backend; with
-  // several, every worker owns a replica so no lane is ever shared across
-  // threads — and CPU replicas split the host thread budget between them
-  // (the no-oversubscription promise of CpuBackend, one level up).
+  // several, every worker owns a replica (make_worker_backends).
   const std::size_t n_workers = stream_.align_threads;
   std::vector<std::unique_ptr<AlignBackend>> replicas;
-  std::vector<AlignBackend*> worker_backends;
-  if (n_workers == 1) {
-    worker_backends.push_back(backend_.get());
-  } else {
-    AlignerOptions wopts = options_;
-    if (options_.backend == Backend::kCpu) {
-      int total =
-          options_.cpu_threads > 0 ? options_.cpu_threads : util::max_parallel_threads();
-      wopts.cpu_threads = std::max(1, total / static_cast<int>(n_workers));
-    }
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      replicas.push_back(make_backend(wopts));
-      worker_backends.push_back(replicas.back().get());
-    }
-  }
+  if (n_workers > 1) replicas = make_worker_backends(options_, n_workers);
   std::atomic<std::size_t> live_workers{n_workers};
 
   auto worker_loop = [&](AlignBackend* backend) {
@@ -182,7 +165,7 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
   std::vector<std::thread> workers;
   workers.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
-    AlignBackend* backend = worker_backends[w];
+    AlignBackend* backend = replicas.empty() ? backend_.get() : replicas[w].get();
     workers.emplace_back([&, backend] {
       worker_loop(backend);
       if (live_workers.fetch_sub(1) == 1) output.close();  // last one out

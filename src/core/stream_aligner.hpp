@@ -37,9 +37,9 @@ struct StreamOptions {
   /// merger); peak resident pairs <= chunk_pairs * queue_capacity.
   std::size_t queue_capacity = 4;
   /// Concurrent scheduler consumers. Above 1, each worker owns its own
-  /// backend replica (built from the same AlignerOptions) so simulated
-  /// lanes are never shared across threads; results stay bit-identical,
-  /// the merger restores input order.
+  /// backend replica (core::make_worker_backends) so lanes are never
+  /// shared across threads and host replicas split the thread budget;
+  /// results stay bit-identical, the merger restores input order.
   std::size_t align_threads = 1;
   /// Derive SchedulerOptions per chunk via core::recommend_scheduler
   /// (ignored when `schedule` is set).

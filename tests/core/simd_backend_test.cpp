@@ -1,5 +1,5 @@
-// SimdCpuBackend: device-string routing, calibrated lane weights, and
-// bit-identical parity with CpuBackend through the whole scheduler stack
+// HostBackend SIMD lanes: device-string routing, calibrated lane weights,
+// and bit-identical parity with scalar lanes through the whole scheduler stack
 // (score pass, banded/z-drop runs, two-phase traceback). `ctest -L simd`.
 #include "core/backend.hpp"
 
@@ -14,10 +14,12 @@
 namespace saloba::core {
 namespace {
 
-TEST(SimdCpuBackend, RunMatchesScalarBackend) {
+using LaneKind = HostBackend::LaneKind;
+
+TEST(HostBackend, SimdRunMatchesScalarBackend) {
   auto batch = saloba::testing::imbalanced_batch(801, 40, 5, 300);
-  CpuBackend scalar{align::ScoringScheme{}};
-  SimdCpuBackend simd{align::ScoringScheme{}, {SimdCpuBackend::LaneKind::kSimd}};
+  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
   EXPECT_EQ(simd.lanes(), 1);
   EXPECT_EQ(simd.name(), "simd");
   auto want = scalar.run(batch, 0);
@@ -27,22 +29,21 @@ TEST(SimdCpuBackend, RunMatchesScalarBackend) {
   EXPECT_FALSE(got.kernel_stats.has_value());
 }
 
-TEST(SimdCpuBackend, BandedZdropRunMatchesScalarBackend) {
+TEST(HostBackend, SimdBandedZdropRunMatchesScalarBackend) {
   auto batch = saloba::testing::related_batch(802, 30, 100, 140);
   batch.default_band = 16;
-  CpuBackend scalar{align::ScoringScheme{}, 1, 0, /*zdrop=*/20};
-  SimdCpuBackend simd{align::ScoringScheme{}, {SimdCpuBackend::LaneKind::kSimd}, 0,
-                      /*zdrop=*/20};
+  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}, 0, /*zdrop=*/20};
+  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}, 0, /*zdrop=*/20};
   auto want = scalar.run(batch, 0);
   auto got = simd.run(batch, 0);
   EXPECT_EQ(got.results, want.results);
   EXPECT_EQ(got.cells, want.cells);
 }
 
-TEST(SimdCpuBackend, TracebackPhaseMatchesScalarBackend) {
+TEST(HostBackend, SimdTracebackPhaseMatchesScalarBackend) {
   auto batch = saloba::testing::related_batch(803, 20, 90, 130);
-  CpuBackend scalar{align::ScoringScheme{}};
-  SimdCpuBackend simd{align::ScoringScheme{}, {SimdCpuBackend::LaneKind::kSimd}};
+  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
+  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
   auto score = simd.run(batch, 0);
   auto want = scalar.run_traceback(batch, score.results, TracebackSettings{}, 0);
   auto got = simd.run_traceback(batch, score.results, TracebackSettings{}, 0);
@@ -50,18 +51,17 @@ TEST(SimdCpuBackend, TracebackPhaseMatchesScalarBackend) {
   EXPECT_EQ(got.cells, want.cells);
 }
 
-TEST(SimdCpuBackend, CalibratedLaneWeightOrdersLanes) {
+TEST(HostBackend, CalibratedLaneWeightOrdersLanes) {
   const double speedup = simd_lane_speedup();
   EXPECT_GE(speedup, 1.0);
   EXPECT_LE(speedup, 64.0);
 
-  SimdCpuBackend mixed{align::ScoringScheme{},
-                       {SimdCpuBackend::LaneKind::kSimd, SimdCpuBackend::LaneKind::kScalar},
-                       /*threads_total=*/2};
+  HostBackend mixed{align::ScoringScheme{}, {LaneKind::kSimd, LaneKind::kScalar},
+                    /*threads_total=*/2};
   EXPECT_EQ(mixed.lanes(), 2);
   EXPECT_EQ(mixed.name(), "simd+cpu");
-  EXPECT_EQ(mixed.lane_kind(0), SimdCpuBackend::LaneKind::kSimd);
-  EXPECT_EQ(mixed.lane_kind(1), SimdCpuBackend::LaneKind::kScalar);
+  EXPECT_EQ(mixed.lane_kind(0), LaneKind::kSimd);
+  EXPECT_EQ(mixed.lane_kind(1), LaneKind::kScalar);
   // Same thread budget per lane: the SIMD lane's weight is exactly the
   // calibrated engine ratio times the scalar lane's.
   EXPECT_DOUBLE_EQ(mixed.lane_weight(1), 1.0);
@@ -71,7 +71,7 @@ TEST(SimdCpuBackend, CalibratedLaneWeightOrdersLanes) {
 
 TEST(MakeBackend, RoutesHostDeviceStrings) {
   AlignerOptions opts;  // Backend::kCpu, device "rtx3090"
-  EXPECT_EQ(make_backend(opts)->name(), "cpu");  // legacy shape unchanged
+  EXPECT_EQ(make_backend(opts)->name(), "cpu");  // GPU preset under kCpu: scalar lanes
 
   opts.device = "cpu";
   EXPECT_EQ(make_backend(opts)->name(), "cpu");
@@ -98,6 +98,13 @@ TEST(MakeBackend, RoutesHostDeviceStrings) {
 
   opts.device = "simd,rtx3090";
   EXPECT_THROW(make_backend(opts), std::invalid_argument);
+
+  // No host shape accepts fewer than one lane.
+  opts.cpu_lanes = 0;
+  for (const char* device : {"rtx3090", "cpu", "simd", "simd,cpu"}) {
+    opts.device = device;
+    EXPECT_THROW(make_backend(opts), std::invalid_argument) << device;
+  }
 }
 
 TEST(SimdAligner, EndToEndMatchesCpuAligner) {
