@@ -20,45 +20,6 @@
 namespace saloba::core {
 namespace {
 
-/// Indices of the pairs an enabled long-read policy routes to the X-drop
-/// wavefront engine, ascending (empty when the policy is disabled).
-std::vector<std::size_t> longread_routed(const seq::PairBatch& batch,
-                                         const LongReadPolicy& policy) {
-  std::vector<std::size_t> routed;
-  if (!policy.enabled()) return routed;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (policy.routes(batch.refs[i].size(), batch.queries[i].size())) routed.push_back(i);
-  }
-  return routed;
-}
-
-/// The non-routed remainder of a batch (band channel preserved) plus the
-/// original index of each kept pair, for scattering results back into
-/// input order.
-struct RestSplit {
-  seq::PairBatch batch;
-  std::vector<std::size_t> indices;
-};
-
-RestSplit split_rest(const seq::PairBatch& batch, std::span<const std::size_t> routed) {
-  RestSplit rest;
-  rest.batch.default_band = batch.default_band;
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (r < routed.size() && routed[r] == i) {
-      ++r;
-      continue;
-    }
-    rest.indices.push_back(i);
-    if (batch.has_band_info()) {
-      rest.batch.add(batch.queries[i], batch.refs[i], batch.band_of(i));
-    } else {
-      rest.batch.add(batch.queries[i], batch.refs[i]);
-    }
-  }
-  return rest;
-}
-
 /// Modeled DRAM traffic of a wavefront run: every cell touches the rolling
 /// H/E/F diagonal slots (one write plus prior-diagonal reads, 16 B of int32
 /// traffic) and both sequences stream once.
@@ -66,96 +27,69 @@ std::uint64_t xdrop_traffic_bytes(std::uint64_t cells, std::size_t bases) {
   return cells * 16 + static_cast<std::uint64_t>(bases);
 }
 
-/// X-drop wavefront score pass over the routed pairs, host-parallel.
-/// `results[k]` belongs to batch pair `routed[k]`.
-struct LongReadPhase {
-  std::vector<align::AlignmentResult> results;
-  std::uint64_t cells = 0;
-  std::uint64_t bytes = 0;
-  double wall_ms = 0.0;
+/// The long-read body every backend's run_longread shares: one X-drop
+/// wavefront call per pair, host-parallel. A traced run calls
+/// xdrop_wavefront_align and takes its endpoint as the score result, so the
+/// forward sweep runs once. The counters keep the classic path's two-wave
+/// shape: the score half counts every pair's forward cells, the traceback
+/// half forward plus traceback cells of each pair scoring > 0. Time and
+/// kernel stats are left to the caller.
+struct WavefrontPass {
+  LongReadOutput out;
+  std::uint64_t score_bytes = 0;
+  std::uint64_t traceback_bytes = 0;
+  /// Traceback cells alone (what tracing added to the forward sweeps).
+  std::uint64_t replay_cells = 0;
 };
 
-LongReadPhase score_longread(const seq::PairBatch& batch,
-                             std::span<const std::size_t> routed,
-                             const align::ScoringScheme& scoring, align::Score xdrop,
-                             int threads) {
-  util::Timer timer;
-  LongReadPhase out;
-  out.results.resize(routed.size());
-  std::vector<align::WavefrontStats> stats(routed.size());
+WavefrontPass wavefront_pass(const seq::PairBatch& batch, const align::ScoringScheme& scoring,
+                             align::Score xdrop, bool traced, int threads) {
+  WavefrontPass pass;
+  pass.out.score.results.resize(batch.size());
+  if (traced) pass.out.traceback.traced.resize(batch.size());
+  std::vector<align::WavefrontStats> stats(batch.size());
   util::parallel_for_indexed(
-      routed.size(),
-      [&](std::size_t k) {
-        const std::size_t i = routed[k];
-        out.results[k] = align::xdrop_wavefront_score(
-            batch.refs[i], batch.queries[i], scoring, align::XDropParams{xdrop}, &stats[k]);
+      batch.size(),
+      [&](std::size_t i) {
+        const align::XDropParams params{xdrop};
+        if (!traced) {
+          pass.out.score.results[i] = align::xdrop_wavefront_score(
+              batch.refs[i], batch.queries[i], scoring, params, &stats[i]);
+          return;
+        }
+        align::TracedAlignment t = align::xdrop_wavefront_align(
+            batch.refs[i], batch.queries[i], scoring, params, &stats[i]);
+        pass.out.score.results[i] = t.end;
+        if (t.end.score > 0) pass.out.traceback.traced[i] = std::move(t);
       },
       threads);
-  for (std::size_t k = 0; k < routed.size(); ++k) {
-    const std::size_t i = routed[k];
-    out.cells += stats[k].cells;
-    out.bytes += xdrop_traffic_bytes(stats[k].cells,
-                                     batch.refs[i].size() + batch.queries[i].size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::size_t bases = batch.refs[i].size() + batch.queries[i].size();
+    pass.out.score.cells += stats[i].cells;
+    pass.score_bytes += xdrop_traffic_bytes(stats[i].cells, bases);
+    if (!traced || pass.out.score.results[i].score <= 0) continue;
+    const std::size_t cells = stats[i].cells + stats[i].traceback_cells;
+    pass.out.traceback.cells += cells;
+    pass.traceback_bytes += xdrop_traffic_bytes(cells, bases);
+    pass.replay_cells += stats[i].traceback_cells;
   }
-  out.wall_ms = timer.millis();
-  return out;
-}
-
-/// Routed-path run() body shared by all backends: score the non-routed
-/// remainder through `run_rest` (skipped when empty, its kernel stats and
-/// breakdown carried through), the routed pairs through the wavefront
-/// phase, and merge both into input order. The caller owns how the
-/// long-read phase is *costed* — hosts add its wall-clock, the simulated
-/// backend replaces it with a modeled estimate — so only results, cells and
-/// the phase measurements are merged here.
-template <typename RunRest>
-std::pair<BackendOutput, LongReadPhase> run_with_longread(
-    const seq::PairBatch& batch, std::span<const std::size_t> routed,
-    const align::ScoringScheme& scoring, align::Score xdrop, int threads,
-    RunRest&& run_rest) {
-  const RestSplit rest = split_rest(batch, routed);
-  BackendOutput out;
-  out.results.resize(batch.size());
-  if (!rest.indices.empty()) {
-    BackendOutput rest_out = run_rest(rest.batch);
-    for (std::size_t k = 0; k < rest.indices.size(); ++k) {
-      out.results[rest.indices[k]] = rest_out.results[k];
-    }
-    out.time_ms = rest_out.time_ms;
-    out.cells = rest_out.cells;
-    out.kernel_stats = std::move(rest_out.kernel_stats);
-    out.time_breakdown = rest_out.time_breakdown;
-  }
-  LongReadPhase lr = score_longread(batch, routed, scoring, xdrop, threads);
-  for (std::size_t k = 0; k < routed.size(); ++k) {
-    out.results[routed[k]] = lr.results[k];
-  }
-  out.cells += lr.cells;
-  return {std::move(out), std::move(lr)};
+  return pass;
 }
 
 /// Shared traceback-phase body of both backends: the linear-memory engine
 /// over every pair with a non-zero score-pass result, host-parallel, output
 /// order matching input order. `zdrop` mirrors the backend's score pass so
-/// endpoints stay bit-identical. Pairs an enabled `longread` policy routes
-/// go through the X-drop wavefront's Myers-Miller traceback instead (same
-/// xdrop as their score pass, so endpoints agree there too); their cells
-/// and traffic are attributed separately.
+/// endpoints stay bit-identical.
 struct EnginePhase {
   std::vector<align::TracedAlignment> traced;
   std::size_t cells = 0;
   std::size_t bytes = 0;
-  /// Routed long-read pairs' share, attributed apart from the banded
-  /// engine so the simulated backend can model the two phases separately.
-  std::uint64_t xdrop_cells = 0;
-  std::uint64_t xdrop_bytes = 0;
 };
 
 EnginePhase trace_batch(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
                         const align::ScoringScheme& scoring, align::Score zdrop,
-                        const TracebackSettings& settings, int threads,
-                        const LongReadPolicy& longread = {}) {
+                        const TracebackSettings& settings, int threads) {
   SALOBA_CHECK_MSG(results.size() == batch.size(),
                    "traceback got " << results.size() << " score results for a "
                                     << batch.size() << "-pair batch");
@@ -163,24 +97,12 @@ EnginePhase trace_batch(const seq::PairBatch& batch,
   out.traced.resize(batch.size());
   std::vector<std::size_t> cells(batch.size(), 0);
   std::vector<std::size_t> bytes(batch.size(), 0);
-  std::vector<char> is_xdrop(batch.size(), 0);
   util::parallel_for_indexed(
       batch.size(),
       [&](std::size_t i) {
         // A zero score pass means the empty local alignment — the engine
         // would re-derive exactly that, so skip the sweep.
         if (results[i].score <= 0) return;
-        if (longread.routes(batch.refs[i].size(), batch.queries[i].size())) {
-          align::WavefrontStats stats;
-          out.traced[i] = align::xdrop_wavefront_align(
-              batch.refs[i], batch.queries[i], scoring,
-              align::XDropParams{longread.xdrop}, &stats);
-          cells[i] = stats.cells + stats.traceback_cells;
-          bytes[i] = xdrop_traffic_bytes(cells[i],
-                                         batch.refs[i].size() + batch.queries[i].size());
-          is_xdrop[i] = 1;
-          return;
-        }
         align::TracebackParams params;
         params.band = batch.band_of(i);
         params.zdrop = zdrop;
@@ -192,13 +114,8 @@ EnginePhase trace_batch(const seq::PairBatch& batch,
       },
       threads);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (is_xdrop[i]) {
-      out.xdrop_cells += cells[i];
-      out.xdrop_bytes += bytes[i];
-    } else {
-      out.cells += cells[i];
-      out.bytes += bytes[i];
-    }
+    out.cells += cells[i];
+    out.bytes += bytes[i];
   }
   return out;
 }
@@ -245,8 +162,8 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
 }
 
 HostBackend::HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                         int threads_total, align::Score zdrop, LongReadPolicy longread)
-    : scoring_(scoring), kinds_(std::move(kinds)), zdrop_(zdrop), longread_(longread) {
+                         int threads_total, align::Score zdrop)
+    : scoring_(scoring), kinds_(std::move(kinds)), zdrop_(zdrop) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
   SALOBA_CHECK_MSG(!kinds_.empty(), "host backend needs at least one lane");
   if (kinds_.size() > 1) {
@@ -271,27 +188,19 @@ double HostBackend::lane_weight(int lane) const {
 
 BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  auto run_engine = [&](const seq::PairBatch& b) {
-    BackendOutput out;
-    if (lane_kind(lane) == LaneKind::kScalar) {
-      align::BatchTiming timing;
-      out.results = align::align_batch(b, scoring_, &timing, threads_per_lane_, zdrop_);
-      out.time_ms = timing.wall_ms;
-      out.cells = timing.cells;
-      return out;
-    }
-    align::simd::EngineStats stats;
-    out.results = align::simd::align_batch(b, scoring_, &stats, threads_per_lane_, zdrop_);
-    out.time_ms = stats.wall_ms;
-    out.cells = stats.cells;
+  BackendOutput out;
+  if (lane_kind(lane) == LaneKind::kScalar) {
+    align::BatchTiming timing;
+    out.results = align::align_batch(batch, scoring_, &timing, threads_per_lane_, zdrop_);
+    out.time_ms = timing.wall_ms;
+    out.cells = timing.cells;
     return out;
-  };
-  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
-  if (routed.empty()) return run_engine(batch);
-  auto [out, lr] = run_with_longread(batch, routed, scoring_, longread_.xdrop,
-                                     threads_per_lane_, run_engine);
-  out.time_ms += lr.wall_ms;
-  return std::move(out);
+  }
+  align::simd::EngineStats stats;
+  out.results = align::simd::align_batch(batch, scoring_, &stats, threads_per_lane_, zdrop_);
+  out.time_ms = stats.wall_ms;
+  out.cells = stats.cells;
+  return out;
 }
 
 TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
@@ -299,13 +208,26 @@ TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
                                            const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
-  EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, settings,
-                                  threads_per_lane_, longread_);
+  EnginePhase phase =
+      trace_batch(batch, results, scoring_, zdrop_, settings, threads_per_lane_);
   TracebackOutput out;
   out.traced = std::move(phase.traced);
-  out.cells = phase.cells + phase.xdrop_cells;
+  out.cells = phase.cells;
   out.time_ms = timer.millis();
   return out;
+}
+
+LongReadOutput HostBackend::run_longread(const seq::PairBatch& batch, align::Score xdrop,
+                                         bool traced, int lane) {
+  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
+  util::Timer timer;
+  WavefrontPass pass = wavefront_pass(batch, scoring_, xdrop, traced, threads_per_lane_);
+  const double wall_ms = timer.millis();
+  const auto forward = static_cast<double>(pass.out.score.cells);
+  const double all = forward + static_cast<double>(pass.replay_cells);
+  pass.out.score.time_ms = all > 0.0 ? wall_ms * forward / all : wall_ms;
+  pass.out.traceback.time_ms = wall_ms - pass.out.score.time_ms;
+  return std::move(pass.out);
 }
 
 ChainingOutput HostBackend::run_chaining(const seedext::ChainBatch& batch,
@@ -352,7 +274,7 @@ double simd_lane_speedup() {
 }
 
 SimulatedGpuBackend::SimulatedGpuBackend(const AlignerOptions& options)
-    : scoring_(options.scoring), longread_(options.longread_policy()) {
+    : scoring_(options.scoring) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
   SALOBA_CHECK_MSG(options.devices >= 1, "need at least one device");
   kernel_ = kernels::make_kernel(options.kernel, options.nominal_batch_pairs);
@@ -398,46 +320,14 @@ double SimulatedGpuBackend::lane_weight(int lane) const {
 
 BackendOutput SimulatedGpuBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  const std::vector<std::size_t> routed = longread_routed(batch, longread_);
-  if (routed.empty()) {
-    kernels::KernelResult kr =
-        kernel_->run(*devices_[static_cast<std::size_t>(lane)], batch, scoring_);
-    BackendOutput out;
-    out.results = std::move(kr.results);
-    out.time_ms = kr.time.total_ms;
-    out.cells = kr.stats.totals.dp_cells;
-    out.kernel_stats = kr.stats;
-    out.time_breakdown = kr.time;
-    return out;
-  }
-  // Functional wavefront pass on the host for the routed pairs (the sweep is
-  // backend-independent), the kernel for the remainder...
-  auto [out, lr] = run_with_longread(
-      batch, routed, scoring_, longread_.xdrop, /*threads=*/0,
-      [&](const seq::PairBatch& rest) {
-        kernels::KernelResult kr =
-            kernel_->run(*devices_[static_cast<std::size_t>(lane)], rest, scoring_);
-        BackendOutput rest_out;
-        rest_out.results = std::move(kr.results);
-        rest_out.time_ms = kr.time.total_ms;
-        rest_out.cells = kr.stats.totals.dp_cells;
-        rest_out.kernel_stats = kr.stats;
-        rest_out.time_breakdown = kr.time;
-        return rest_out;
-      });
-  // ...then the routed phase's modeled cost on this lane's device replaces
-  // its host wall-clock.
-  const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
-  const gpusim::TimeBreakdown modeled =
-      gpusim::estimate_xdrop_time(dev.spec(), dev.cost_params(), lr.cells, lr.bytes);
-  if (!out.kernel_stats) out.kernel_stats = gpusim::KernelStats{};
-  out.kernel_stats->totals.xdrop_cells += lr.cells;
-  out.kernel_stats->totals.xdrop_bytes += lr.bytes;
-  if (!out.time_breakdown) out.time_breakdown = gpusim::TimeBreakdown{};
-  out.time_breakdown->xdrop_ms += modeled.xdrop_ms;
-  out.time_breakdown->total_ms += modeled.total_ms;
-  out.time_ms = out.time_breakdown->total_ms;
-  return std::move(out);
+  kernels::KernelResult kr = kernel_->run(device(lane), batch, scoring_);
+  BackendOutput out;
+  out.results = std::move(kr.results);
+  out.time_ms = kr.time.total_ms;
+  out.cells = kr.stats.totals.dp_cells;
+  out.kernel_stats = kr.stats;
+  out.time_breakdown = kr.time;
+  return out;
 }
 
 TracebackOutput SimulatedGpuBackend::run_traceback(
@@ -445,31 +335,43 @@ TracebackOutput SimulatedGpuBackend::run_traceback(
     const TracebackSettings& settings, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   // Functional pass on the host (no zdrop: the kernels apply none, so traced
-  // endpoints match the kernels bit-for-bit; routed long-read pairs mirror
-  // their wavefront score pass instead)...
+  // endpoints match the kernels bit-for-bit)...
   EnginePhase phase = trace_batch(batch, results, scoring_, /*zdrop=*/0, settings,
-                                  /*threads=*/0, longread_);
+                                  /*threads=*/0);
   TracebackOutput out;
   out.traced = std::move(phase.traced);
-  out.cells = phase.cells + phase.xdrop_cells;
-  // ...then each engine's modeled cost on this lane's device, attributed
-  // apart (traceback_ms vs xdrop_ms).
-  const gpusim::Device& dev = *devices_[static_cast<std::size_t>(lane)];
-  gpusim::TimeBreakdown time = gpusim::estimate_traceback_time(
-      dev.spec(), dev.cost_params(), phase.cells, phase.bytes);
-  const gpusim::TimeBreakdown xdrop_time = gpusim::estimate_xdrop_time(
-      dev.spec(), dev.cost_params(), phase.xdrop_cells, phase.xdrop_bytes);
-  time.xdrop_ms = xdrop_time.xdrop_ms;
-  time.total_ms += xdrop_time.total_ms;
-  out.time_breakdown = time;
+  out.cells = phase.cells;
+  // ...then the phase's modeled cost on this lane's device.
+  const gpusim::Device& dev = device(lane);
+  out.time_breakdown = gpusim::estimate_traceback_time(dev.spec(), dev.cost_params(),
+                                                       phase.cells, phase.bytes);
   out.time_ms = out.time_breakdown->total_ms;
   gpusim::KernelStats stats;
   stats.totals.traceback_cells = phase.cells;
   stats.totals.traceback_bytes = phase.bytes;
-  stats.totals.xdrop_cells = phase.xdrop_cells;
-  stats.totals.xdrop_bytes = phase.xdrop_bytes;
   out.kernel_stats = stats;
   return out;
+}
+
+LongReadOutput SimulatedGpuBackend::run_longread(const seq::PairBatch& batch,
+                                                 align::Score xdrop, bool traced, int lane) {
+  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
+  // Functional pass on the host (the sweep is backend-independent)...
+  WavefrontPass pass = wavefront_pass(batch, scoring_, xdrop, traced, /*threads=*/0);
+  // ...then each half's modeled cost on this lane's device replaces the
+  // host wall-clock.
+  const gpusim::Device& dev = device(lane);
+  auto book = [&](auto& half, std::uint64_t bytes) {
+    half.time_breakdown =
+        gpusim::estimate_xdrop_time(dev.spec(), dev.cost_params(), half.cells, bytes);
+    half.time_ms = half.time_breakdown->total_ms;
+    half.kernel_stats = gpusim::KernelStats{};
+    half.kernel_stats->totals.xdrop_cells = half.cells;
+    half.kernel_stats->totals.xdrop_bytes = bytes;
+  };
+  book(pass.out.score, pass.score_bytes);
+  if (traced) book(pass.out.traceback, pass.traceback_bytes);
+  return std::move(pass.out);
 }
 
 ChainingOutput SimulatedGpuBackend::run_chaining(const seedext::ChainBatch& batch,
@@ -520,7 +422,7 @@ std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
                  p == "simd" ? HostBackend::LaneKind::kSimd : HostBackend::LaneKind::kScalar);
   }
   return std::make_unique<HostBackend>(options.scoring, std::move(kinds), options.cpu_threads,
-                                       options.zdrop, options.longread_policy());
+                                       options.zdrop);
 }
 
 std::vector<std::unique_ptr<AlignBackend>> make_worker_backends(const AlignerOptions& options,

@@ -1,8 +1,8 @@
 // The execution-backend layer between the Aligner facade / BatchScheduler
 // and the alignment engines. A backend turns one (sub-)batch into results
-// plus timing on one of its lanes; the scheduler decides how a user batch
-// is split across lanes and merges the outputs (see core/scheduler.hpp for
-// the layering diagram).
+// plus timing on one of its lanes; the scheduler decides which pairs go to
+// which engine (long-read routing) and lane, and merges the outputs (see
+// core/scheduler.hpp for the layering diagram).
 #pragma once
 
 #include <memory>
@@ -52,6 +52,15 @@ struct TracebackOutput {
   /// TimeBreakdown::traceback_ms).
   std::optional<gpusim::KernelStats> kernel_stats;
   std::optional<gpusim::TimeBreakdown> time_breakdown;
+};
+
+/// What one long-read run (AlignBackend::run_longread) on one lane produced:
+/// the routed pairs' score pass and, for a traced run, their traceback
+/// phase, booked like the classic path's two waves so AlignOutput reports
+/// both engines in one shape. `traceback` stays empty for untraced runs.
+struct LongReadOutput {
+  BackendOutput score;
+  TracebackOutput traceback;
 };
 
 /// What one chaining-phase run on one lane produced (the batched
@@ -115,6 +124,15 @@ class AlignBackend {
                                         std::span<const align::AlignmentResult> results,
                                         const TracebackSettings& settings, int lane) = 0;
 
+  /// Long-read phase for pairs the scheduler routed (core::LongReadPolicy):
+  /// the X-drop wavefront engine with threshold `xdrop` on every pair of
+  /// `batch`, ignoring band and zdrop. A `traced` run calls
+  /// align::xdrop_wavefront_align once per pair and takes its endpoint as
+  /// the score result, so the forward sweep never runs twice; pairs scoring
+  /// 0 get the empty TracedAlignment, as in run_traceback.
+  virtual LongReadOutput run_longread(const seq::PairBatch& batch, align::Score xdrop,
+                                      bool traced, int lane) = 0;
+
   /// Chaining phase for shard `tasks` of a ChainBatch: the forward-only
   /// fixed-lookahead engine (seedext::chain_tasks_run) on `lane`, results
   /// bit-identical to the sequential seedext::chain_seeds oracle for every
@@ -144,12 +162,9 @@ class HostBackend final : public AlignBackend {
   /// `zdrop > 0` applies z-drop row pruning to every pair on every lane
   /// (both engines implement the identical rule, see
   /// align::BandedParams::zdrop); per-pair bands come from the batch itself
-  /// (the scheduler materializes AlignerOptions band knobs into it). An
-  /// enabled `longread` policy routes qualifying pairs to the X-drop
-  /// wavefront engine in both run() and run_traceback() on every lane kind
-  /// — routed pairs ignore band and zdrop (see core::LongReadPolicy).
+  /// (the scheduler materializes AlignerOptions band knobs into it).
   HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-              int threads_total = 0, align::Score zdrop = 0, LongReadPolicy longread = {});
+              int threads_total = 0, align::Score zdrop = 0);
 
   const std::string& name() const override { return name_; }
   int lanes() const override { return static_cast<int>(kinds_.size()); }
@@ -169,6 +184,12 @@ class HostBackend final : public AlignBackend {
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;
+  /// Both lane kinds run the same wavefront engine on this lane's thread
+  /// share, timed on the wall clock. A traced run's one wall time is split
+  /// between the score and traceback halves by their engine cells (forward
+  /// sweep vs traceback replay).
+  LongReadOutput run_longread(const seq::PairBatch& batch, align::Score xdrop, bool traced,
+                              int lane) override;
   /// Both lane kinds run the same engine: chaining's scalar/vector split is
   /// a per-task ISA dispatch inside chain_tasks_run, not a lane property.
   ChainingOutput run_chaining(const seedext::ChainBatch& batch,
@@ -180,7 +201,6 @@ class HostBackend final : public AlignBackend {
   std::vector<double> weights_;
   int threads_per_lane_ = 0;
   align::Score zdrop_ = 0;
-  LongReadPolicy longread_;
   std::string name_;
 };
 
@@ -217,6 +237,12 @@ class SimulatedGpuBackend final : public AlignBackend {
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;
+  /// Functionally runs the wavefront engine on the host (bit-identical to
+  /// every other backend), then models each half on the lane's device
+  /// (gpusim::estimate_xdrop_time; counters land in
+  /// WarpCounters::xdrop_cells/xdrop_bytes).
+  LongReadOutput run_longread(const seq::PairBatch& batch, align::Score xdrop, bool traced,
+                              int lane) override;
   /// Functionally runs the forward-only engine on the host (bit-identical to
   /// every other backend), then models the phase's time and traffic on the
   /// lane's device (gpusim::estimate_chaining_time; counters land in
@@ -231,7 +257,6 @@ class SimulatedGpuBackend final : public AlignBackend {
   kernels::KernelPtr kernel_;
   std::vector<std::unique_ptr<gpusim::Device>> devices_;
   std::vector<double> weights_;
-  LongReadPolicy longread_;
   std::string name_;
 };
 

@@ -39,11 +39,13 @@ struct BandPolicy {
 /// Long-read routing policy (the LOGAN-style X-drop regime): pairs whose
 /// longer sequence reaches `min_pair_bases` leave the block-DP/banded path
 /// for the X-drop wavefront engine (align::xdrop_wavefront) — anti-diagonal
-/// execution, X-drop termination, O(N+M) Myers-Miller traceback. Routed
-/// pairs ignore band and z-drop: the long-read regime carries its own
-/// pruning, and a 100kb pair has no meaningful |i-j| band anyway. The
-/// default (0) disables routing, keeping every workload bit-identical to
-/// the classic path.
+/// execution, X-drop termination, O(N+M) Myers-Miller traceback. The
+/// BatchScheduler applies it (SchedulerOptions::longread): it splits routed
+/// pairs off each batch and runs them as their own phase through
+/// AlignBackend::run_longread. Routed pairs ignore band and z-drop: the
+/// long-read regime carries its own pruning, and a 100kb pair has no
+/// meaningful |i-j| band anyway. The default (0) disables routing, keeping
+/// every workload bit-identical to the classic path.
 struct LongReadPolicy {
   /// Route a pair when max(|ref|, |query|) >= this; 0 = never.
   std::size_t min_pair_bases = 0;
@@ -112,13 +114,13 @@ struct AlignerOptions {
 
   // --- Long-read routing (X-drop wavefront engine) ------------------------
   /// Pairs whose longer sequence has at least this many bases are routed to
-  /// the X-drop wavefront engine on every backend (see LongReadPolicy).
-  /// 0 disables routing (default) — short-read workloads stay bit-identical
-  /// to the classic path.
+  /// the X-drop wavefront engine by the scheduler, whatever the backend (see
+  /// LongReadPolicy). 0 disables routing (default) — short-read workloads
+  /// stay bit-identical to the classic path.
   std::size_t longread_threshold = 0;
   /// X-drop threshold for routed pairs (LongReadPolicy::xdrop).
   align::Score xdrop = 400;
-  /// The long-read knobs above as the policy backends and the scheduler use.
+  /// The long-read knobs above as the policy the scheduler routes by.
   LongReadPolicy longread_policy() const { return LongReadPolicy{longread_threshold, xdrop}; }
 
   // --- Traceback phase (two-phase alignment) ------------------------------

@@ -39,9 +39,9 @@ SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& chunk,
     wanted.traceback = true;
     wanted.traceback_settings.checkpoint_rows = options.traceback_checkpoint_rows;
   }
-  // Long-read pricing follows the Aligner's routing policy (the backends
-  // route regardless of schedule, so the packer must price consistently)
-  // unless an explicit override already set one.
+  // Long-read routing follows the Aligner's policy unless an explicit
+  // override already set one: the scheduler is the only place that routes,
+  // so this is how streamed and service batches reach the X-drop engine.
   if (!wanted.longread.enabled() && options.longread_policy().enabled()) {
     wanted.longread = options.longread_policy();
   }

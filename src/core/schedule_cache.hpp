@@ -33,8 +33,9 @@ void materialize_chunk_bands(seq::PairBatch& chunk, const AlignerOptions& option
 /// The per-chunk schedule rule: `override_schedule` wins outright; otherwise
 /// autotune (core::recommend_scheduler over the chunk's stats and the
 /// backend's lane weights) or the AlignerOptions scheduler fields. The
-/// traceback phase from AlignerOptions applies unless the override already
-/// enabled it itself — the same override discipline as the band policy.
+/// traceback phase and the long-read routing policy from AlignerOptions
+/// apply unless the override already enabled its own — the same override
+/// discipline as the band policy.
 SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& chunk,
                                         const AlignerOptions& options,
                                         const std::optional<SchedulerOptions>& override_schedule,

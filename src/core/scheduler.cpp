@@ -41,6 +41,35 @@ double gcups_at(std::size_t cells, double time_ms) {
   return time_ms > 0 ? static_cast<double>(cells) / (time_ms * 1e6) : 0.0;
 }
 
+/// Runs `job(s)` for every shard s: one future per lane, each draining that
+/// lane's shards in order, so lanes run concurrently and no pool thread ever
+/// blocks waiting for a lane another thread holds. Waits for every
+/// in-flight shard, even when one failed, then rethrows the first failure.
+template <typename Shard, typename Job>
+void dispatch_by_lane(util::ThreadPool& pool, int lanes, const std::vector<Shard>& shards,
+                      const Job& job) {
+  std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
+  }
+  std::vector<std::future<void>> futures;
+  for (const std::vector<std::size_t>& mine : lane_shards) {
+    if (mine.empty()) continue;
+    futures.push_back(pool.submit([&job, &mine] {
+      for (std::size_t s : mine) job(s);
+    }));
+  }
+  std::exception_ptr failure;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
+}
+
 }  // namespace
 
 BatchScheduler::BatchScheduler(AlignBackend* backend, SchedulerOptions options)
@@ -83,14 +112,7 @@ AlignOutput BatchScheduler::run_single(const seq::PairBatch& batch) {
     out.traced = std::move(tb.traced);
     out.traceback_ms = tb.time_ms;
     out.traceback_cells = tb.cells;
-    if (tb.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*tb.kernel_stats);
-    }
-    if (tb.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *tb.time_breakdown);
-    }
+    merge_device_stats(out, tb);
   }
   return out;
 }
@@ -112,121 +134,138 @@ AlignOutput BatchScheduler::run(const seq::PairBatch& batch) {
   return run_resolved(batch);
 }
 
+AlignOutput BatchScheduler::empty_output() const {
+  AlignOutput out;
+  out.schedule.lanes = backend_->lanes();
+  out.schedule.shards = 0;
+  out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
+  out.schedule.lane_weights = lane_weights(*backend_);
+  return out;
+}
+
 AlignOutput BatchScheduler::run_resolved(const seq::PairBatch& batch) {
-  if (batch.size() == 0) {
-    AlignOutput out;
-    out.schedule.lanes = backend_->lanes();
-    out.schedule.shards = 0;
-    out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
-    out.schedule.lane_weights = lane_weights(*backend_);
-    return out;
+  if (batch.size() == 0) return empty_output();
+
+  // Long-read routing happens here and nowhere else: pairs the policy routes
+  // leave the batch before sharding and run as their own phase; the rest
+  // takes the classic path unchanged.
+  std::vector<std::size_t> routed_indices;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (options_.longread.routes(batch.refs[i].size(), batch.queries[i].size())) {
+      routed_indices.push_back(i);
+    }
+  }
+  if (routed_indices.empty()) return run_classic(batch);
+
+  seq::PairBatch rest;
+  seq::PairBatch routed;
+  std::vector<std::size_t> rest_indices;
+  rest.default_band = batch.default_band;
+  for (std::size_t i = 0, r = 0; i < batch.size(); ++i) {
+    if (r < routed_indices.size() && routed_indices[r] == i) {
+      ++r;
+      routed.add(batch.queries[i], batch.refs[i]);
+    } else {
+      rest_indices.push_back(i);
+      if (batch.has_band_info()) {
+        rest.add(batch.queries[i], batch.refs[i], batch.band_of(i));
+      } else {
+        rest.add(batch.queries[i], batch.refs[i]);
+      }
+    }
   }
 
+  AlignOutput classic = rest.size() > 0 ? run_classic(rest) : empty_output();
+  AlignOutput longs = longread_phase(routed);
+
+  // Scatter both into input order. The two phases run one after the other,
+  // so their makespans add; lane busy times add per lane.
+  AlignOutput out = empty_output();
+  out.results.resize(batch.size());
+  if (options_.traceback) out.traced.resize(batch.size());
+  auto absorb = [&](AlignOutput& part, const std::vector<std::size_t>& indices) {
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      out.results[indices[k]] = part.results[k];
+      if (options_.traceback) out.traced[indices[k]] = std::move(part.traced[k]);
+    }
+    out.cells += part.cells;
+    out.traceback_cells += part.traceback_cells;
+    out.traceback_ms += part.traceback_ms;
+    out.schedule.shards += part.schedule.shards;
+    out.schedule.makespan_ms += part.schedule.makespan_ms;
+    for (std::size_t l = 0; l < out.schedule.lane_ms.size(); ++l) {
+      out.schedule.lane_ms[l] += part.schedule.lane_ms[l];
+    }
+    merge_device_stats(out, part);
+  };
+  absorb(classic, rest_indices);
+  absorb(longs, routed_indices);
+  finalize_balance(out.schedule);
+  out.time_ms = out.schedule.makespan_ms;
+  out.gcups = gcups_at(out.cells, out.time_ms);
+  return out;
+}
+
+AlignOutput BatchScheduler::run_classic(const seq::PairBatch& batch) {
   const int lanes = backend_->lanes();
   if (lanes == 1 && options_.max_shard_pairs == 0) return run_single(batch);
 
   // Cost-aware dispatch: heterogeneous backends expose non-uniform lane
   // weights and get the weighted-LPT packing; uniform weights fall through
-  // to the classic unweighted path bit-for-bit. When the long-read policy
-  // routes pairs, those are priced by the wavefront's cell estimate instead
-  // of their nominal n·m area, so one 100kb pair no longer eats a lane's
-  // whole budget on paper while costing a thin window in practice.
-  std::vector<gpusim::Shard> shards;
-  bool any_routed = false;
-  if (options_.longread.enabled()) {
-    for (std::size_t i = 0; i < batch.size() && !any_routed; ++i) {
-      any_routed = options_.longread.routes(batch.refs[i].size(), batch.queries[i].size());
-    }
-  }
-  if (any_routed) {
-    std::vector<std::uint64_t> loads(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::size_t r = batch.refs[i].size();
-      const std::size_t q = batch.queries[i].size();
-      loads[i] = options_.longread.routes(r, q) ? options_.longread.cells_estimate(r, q)
-                                                : batch.cells_of(i);
-    }
-    shards = gpusim::make_shards(batch, lane_weights(*backend_), options_.policy,
-                                 options_.max_shard_pairs, loads);
-  } else {
-    shards = gpusim::make_shards(batch, lane_weights(*backend_), options_.policy,
-                                 options_.max_shard_pairs);
-  }
+  // to the classic unweighted path bit-for-bit.
+  const std::vector<gpusim::Shard> shards = gpusim::make_shards(
+      batch, lane_weights(*backend_), options_.policy, options_.max_shard_pairs);
   if (shards.size() == 1 && shards[0].batch.size() == batch.size() &&
       options_.policy == gpusim::SplitPolicy::kStatic) {
     return run_single(batch);
   }
 
-  // Async dispatch: one future per lane, each draining that lane's shards
-  // in order — lanes run concurrently and no pool thread ever blocks
-  // waiting for a device another thread holds.
-  std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
-  }
   std::vector<BackendOutput> outputs(shards.size());
-  std::vector<std::future<void>> futures;
-  for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool().submit([this, &shards, &outputs, &mine] {
-      for (std::size_t s : mine) {
-        outputs[s] = backend_->run(shards[s].batch, shards[s].lane);
-      }
-    }));
-  }
+  dispatch_by_lane(pool(), lanes, shards, [&](std::size_t s) {
+    outputs[s] = backend_->run(shards[s].batch, shards[s].lane);
+  });
+  AlignOutput out = merge(batch.size(), shards, outputs);
+  if (!options_.traceback) return out;
 
-  // Wait for every in-flight shard before touching the outputs, even when
-  // one of them failed; rethrow the first failure afterwards.
-  std::exception_ptr failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
-
-  AlignOutput out = merge(batch, shards, outputs);
-  if (options_.traceback) traceback_phase(batch, shards, outputs, out);
-  return out;
-}
-
-void BatchScheduler::traceback_phase(const seq::PairBatch& batch,
-                                     const std::vector<gpusim::Shard>& shards,
-                                     const std::vector<BackendOutput>& outputs,
-                                     AlignOutput& out) {
   // Second wave on the same lane assignment: a shard's traceback needs only
   // that shard's score results, so lanes drain their shards independently
   // again — no barrier beyond the score pass already settled.
-  std::vector<std::vector<std::size_t>> lane_shards(
-      static_cast<std::size_t>(backend_->lanes()));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
-  }
   std::vector<TracebackOutput> traces(shards.size());
-  std::vector<std::future<void>> futures;
-  for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool().submit([this, &shards, &outputs, &traces, &mine] {
-      for (std::size_t s : mine) {
-        traces[s] = backend_->run_traceback(shards[s].batch, outputs[s].results,
-                                            options_.traceback_settings, shards[s].lane);
-      }
-    }));
-  }
-  std::exception_ptr failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  dispatch_by_lane(pool(), lanes, shards, [&](std::size_t s) {
+    traces[s] = backend_->run_traceback(shards[s].batch, outputs[s].results,
+                                        options_.traceback_settings, shards[s].lane);
+  });
+  merge_traceback(batch.size(), shards, traces, out);
+  return out;
+}
 
+AlignOutput BatchScheduler::longread_phase(const seq::PairBatch& routed) {
+  // Routed pairs are priced by the wavefront's cell estimate, not their
+  // nominal n·m area, so one 100 kb pair no longer eats a lane's whole
+  // budget on paper while costing a thin window in practice.
+  std::vector<std::uint64_t> loads(routed.size());
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    loads[i] = options_.longread.cells_estimate(routed.refs[i].size(), routed.queries[i].size());
+  }
+  const std::vector<gpusim::Shard> shards = gpusim::make_shards(
+      routed, lane_weights(*backend_), options_.policy, options_.max_shard_pairs, loads);
+  std::vector<BackendOutput> outputs(shards.size());
+  std::vector<TracebackOutput> traces(shards.size());
+  dispatch_by_lane(pool(), backend_->lanes(), shards, [&](std::size_t s) {
+    LongReadOutput lr = backend_->run_longread(shards[s].batch, options_.longread.xdrop,
+                                               options_.traceback, shards[s].lane);
+    outputs[s] = std::move(lr.score);
+    traces[s] = std::move(lr.traceback);
+  });
+  AlignOutput out = merge(routed.size(), shards, outputs);
+  if (options_.traceback) merge_traceback(routed.size(), shards, traces, out);
+  return out;
+}
+
+void BatchScheduler::merge_traceback(std::size_t pairs, const std::vector<gpusim::Shard>& shards,
+                                     std::vector<TracebackOutput>& traces, AlignOutput& out) {
   // Input-order merge, shard-id order for deterministic stats.
-  out.traced.resize(batch.size());
+  out.traced.resize(pairs);
   std::vector<double> lane_tb_ms(static_cast<std::size_t>(backend_->lanes()), 0.0);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const gpusim::Shard& shard = shards[s];
@@ -239,14 +278,7 @@ void BatchScheduler::traceback_phase(const seq::PairBatch& batch,
     }
     out.traceback_cells += tb.cells;
     lane_tb_ms[static_cast<std::size_t>(shard.lane)] += tb.time_ms;
-    if (tb.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*tb.kernel_stats);
-    }
-    if (tb.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *tb.time_breakdown);
-    }
+    merge_device_stats(out, tb);
   }
   for (double ms : lane_tb_ms) out.traceback_ms = std::max(out.traceback_ms, ms);
 }
@@ -282,33 +314,13 @@ ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
     return out;
   }
 
-  // Weighted-LPT task sharding, then the traceback-wave dispatch shape: one
-  // future per lane draining that lane's shards in order.
+  // Weighted-LPT task sharding, dispatched like the alignment waves.
   auto shards = seedext::make_chain_shards(batch, lane_weights(*backend_),
                                            options_.max_shard_chain_tasks);
-  std::vector<std::vector<std::size_t>> lane_shards(static_cast<std::size_t>(lanes));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    lane_shards[static_cast<std::size_t>(shards[s].lane)].push_back(s);
-  }
   std::vector<ChainingOutput> outputs(shards.size());
-  std::vector<std::future<void>> futures;
-  for (const std::vector<std::size_t>& mine : lane_shards) {
-    if (mine.empty()) continue;
-    futures.push_back(pool().submit([this, &batch, &shards, &outputs, &mine] {
-      for (std::size_t s : mine) {
-        outputs[s] = backend_->run_chaining(batch, shards[s].tasks, shards[s].lane);
-      }
-    }));
-  }
-  std::exception_ptr failure;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  dispatch_by_lane(pool(), lanes, shards, [&](std::size_t s) {
+    outputs[s] = backend_->run_chaining(batch, shards[s].tasks, shards[s].lane);
+  });
 
   // Task-id merge in shard-id order: chains land in their batch slots;
   // stats never depend on thread timing.
@@ -322,14 +334,7 @@ ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
     out.updates += co.updates;
     out.engine_stats.merge(co.engine_stats);
     out.schedule.lane_ms[static_cast<std::size_t>(shards[s].lane)] += co.time_ms;
-    if (co.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*co.kernel_stats);
-    }
-    if (co.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *co.time_breakdown);
-    }
+    merge_device_stats(out, co);
   }
   for (double ms : out.schedule.lane_ms) {
     out.schedule.makespan_ms = std::max(out.schedule.makespan_ms, ms);
@@ -339,11 +344,10 @@ ChainPhaseOutput BatchScheduler::chain(const seedext::ChainBatch& batch) {
   return out;
 }
 
-AlignOutput BatchScheduler::merge(const seq::PairBatch& batch,
-                                  const std::vector<gpusim::Shard>& shards,
+AlignOutput BatchScheduler::merge(std::size_t pairs, const std::vector<gpusim::Shard>& shards,
                                   std::vector<BackendOutput>& outputs) {
   AlignOutput out;
-  out.results.resize(batch.size());
+  out.results.resize(pairs);
   out.schedule.shards = shards.size();
   out.schedule.lanes = backend_->lanes();
   out.schedule.lane_ms.assign(static_cast<std::size_t>(backend_->lanes()), 0.0);
@@ -362,14 +366,7 @@ AlignOutput BatchScheduler::merge(const seq::PairBatch& batch,
     }
     out.cells += bo.cells != 0 ? bo.cells : shard.batch.total_banded_cells();
     out.schedule.lane_ms[static_cast<std::size_t>(shard.lane)] += bo.time_ms;
-    if (bo.kernel_stats) {
-      if (!out.kernel_stats) out.kernel_stats.emplace();
-      out.kernel_stats->merge(*bo.kernel_stats);
-    }
-    if (bo.time_breakdown) {
-      if (!out.time_breakdown) out.time_breakdown.emplace();
-      accumulate_breakdown(*out.time_breakdown, *bo.time_breakdown);
-    }
+    merge_device_stats(out, bo);
   }
 
   for (double ms : out.schedule.lane_ms) {
@@ -383,7 +380,7 @@ AlignOutput BatchScheduler::merge(const seq::PairBatch& batch,
   // time), so its parts remain consistent with its own total_ms; the two
   // coincide on a single lane.
   out.time_ms = out.schedule.makespan_ms;
-  out.gcups = out.time_ms > 0 ? static_cast<double>(out.cells) / (out.time_ms * 1e6) : 0.0;
+  out.gcups = gcups_at(out.cells, out.time_ms);
   return out;
 }
 

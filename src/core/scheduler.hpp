@@ -39,12 +39,12 @@ struct SchedulerOptions {
   /// backend-construction knob (AlignerOptions::zdrop), not a scheduler
   /// default.
   BandPolicy band;
-  /// Long-read routing (AlignerOptions longread_threshold/xdrop). Routing
-  /// itself happens inside the backends — every lane applies the same
-  /// policy, so results do not depend on shard placement. The scheduler
-  /// only uses the policy to *price* routed pairs for shard packing: a
-  /// routed pair costs LongReadPolicy::cells_estimate (the wavefront's
-  /// score-bounded window), not the absurd nominal n·m table.
+  /// Long-read routing (AlignerOptions longread_threshold/xdrop), the only
+  /// copy of the policy. Routed pairs leave the batch before sharding and
+  /// run as their own phase through AlignBackend::run_longread, sharded by
+  /// LongReadPolicy::cells_estimate (the wavefront's score-bounded window,
+  /// not the nominal n·m table); the rest takes the classic path. Results
+  /// do not depend on shard placement.
   LongReadPolicy longread;
   /// Two-phase alignment (AlignerOptions::traceback): after the score pass
   /// settles, a second ThreadPool wave runs the backend's traceback phase
@@ -78,9 +78,25 @@ struct ScheduleReport {
   int busy_lanes = 0;  ///< lanes with lane_ms > 0
 };
 
-/// Component-wise accumulation of simulated time breakdowns — shared by the
-/// scheduler's shard merge and the streaming merger (stream_aligner.cpp).
+/// Component-wise accumulation of simulated time breakdowns — shared by
+/// merge_device_stats and the service's per-session attribution
+/// (align_service.cpp).
 void accumulate_breakdown(gpusim::TimeBreakdown& into, const gpusim::TimeBreakdown& from);
+
+/// Adds `from`'s simulated-device stats (kernel counters, time breakdown)
+/// into `into`'s, creating them on first use; host outputs carry none. The
+/// one merge rule for shard, phase and chunk outputs.
+template <typename Into, typename From>
+void merge_device_stats(Into& into, const From& from) {
+  if (from.kernel_stats) {
+    if (!into.kernel_stats) into.kernel_stats.emplace();
+    into.kernel_stats->merge(*from.kernel_stats);
+  }
+  if (from.time_breakdown) {
+    if (!into.time_breakdown) into.time_breakdown.emplace();
+    accumulate_breakdown(*into.time_breakdown, *from.time_breakdown);
+  }
+}
 
 /// Derives `busy_lanes` and `imbalance` from an already-filled `lane_ms` /
 /// `makespan_ms` (all-lane normalization, see ScheduleReport::imbalance) —
@@ -163,14 +179,23 @@ class BatchScheduler {
   ChainPhaseOutput chain(const seedext::ChainBatch& batch);
 
  private:
+  /// A well-formed output for zero pairs (no shards, idle lanes).
+  AlignOutput empty_output() const;
+  /// Splits routed long-read pairs off (SchedulerOptions::longread), runs
+  /// both parts and scatters them back into input order.
   AlignOutput run_resolved(const seq::PairBatch& batch);
+  /// The non-routed path: run_single, or shards through the score wave and
+  /// (traceback on) a second wave of run_traceback on the same lanes.
+  AlignOutput run_classic(const seq::PairBatch& batch);
   AlignOutput run_single(const seq::PairBatch& batch);
-  AlignOutput merge(const seq::PairBatch& batch, const std::vector<gpusim::Shard>& shards,
+  /// The routed pairs' own phase: sharded by the wavefront cell estimate,
+  /// one AlignBackend::run_longread per shard.
+  AlignOutput longread_phase(const seq::PairBatch& routed);
+  AlignOutput merge(std::size_t pairs, const std::vector<gpusim::Shard>& shards,
                     std::vector<BackendOutput>& outputs);
-  /// Phase two: per-shard run_traceback over the same lane assignment,
-  /// merged into `out.traced` in input order.
-  void traceback_phase(const seq::PairBatch& batch, const std::vector<gpusim::Shard>& shards,
-                       const std::vector<BackendOutput>& outputs, AlignOutput& out);
+  /// Merges per-shard traceback outputs into `out.traced` in input order.
+  void merge_traceback(std::size_t pairs, const std::vector<gpusim::Shard>& shards,
+                       std::vector<TracebackOutput>& traces, AlignOutput& out);
   util::ThreadPool& pool();
 
   AlignBackend* backend_;

@@ -45,7 +45,7 @@ StreamAligner::StreamAligner(AlignerOptions options, StreamOptions stream)
   if (stream_.chunk_pairs < 1) stream_.chunk_pairs = 1;
   if (stream_.queue_capacity < 1) stream_.queue_capacity = 1;
   if (stream_.align_threads < 1) stream_.align_threads = 1;
-  backend_ = make_backend(options_);
+  backends_ = make_worker_backends(options_, stream_.align_threads);
 }
 
 StreamAligner::~StreamAligner() = default;
@@ -54,7 +54,7 @@ StreamAligner& StreamAligner::operator=(StreamAligner&&) noexcept = default;
 
 StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
   util::Timer timer;
-  const int lanes = backend_->lanes();
+  const int lanes = backend().lanes();
   StreamStats stats;
   stats.lane_ms.assign(static_cast<std::size_t>(lanes), 0.0);
 
@@ -122,11 +122,8 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
     }
   });
 
-  // Align workers: a single worker consumes on the primary backend; with
-  // several, every worker owns a replica (make_worker_backends).
-  const std::size_t n_workers = stream_.align_threads;
-  std::vector<std::unique_ptr<AlignBackend>> replicas;
-  if (n_workers > 1) replicas = make_worker_backends(options_, n_workers);
+  // Align workers, each on its own backend (make_worker_backends).
+  const std::size_t n_workers = backends_.size();
   std::atomic<std::size_t> live_workers{n_workers};
 
   auto worker_loop = [&](AlignBackend* backend) {
@@ -164,9 +161,8 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
 
   std::vector<std::thread> workers;
   workers.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    AlignBackend* backend = replicas.empty() ? backend_.get() : replicas[w].get();
-    workers.emplace_back([&, backend] {
+  for (const auto& owned : backends_) {
+    workers.emplace_back([&, backend = owned.get()] {
       worker_loop(backend);
       if (live_workers.fetch_sub(1) == 1) output.close();  // last one out
     });
@@ -229,14 +225,7 @@ AlignOutput StreamAligner::align_streamed(const seq::PairBatch& batch) {
           std::move(chunk.traced.begin(), chunk.traced.end(),
                     total.traced.begin() + static_cast<std::ptrdiff_t>(first_pair));
         }
-        if (chunk.kernel_stats) {
-          if (!total.kernel_stats) total.kernel_stats.emplace();
-          total.kernel_stats->merge(*chunk.kernel_stats);
-        }
-        if (chunk.time_breakdown) {
-          if (!total.time_breakdown) total.time_breakdown.emplace();
-          accumulate_breakdown(*total.time_breakdown, *chunk.time_breakdown);
-        }
+        merge_device_stats(total, chunk);
       });
 
   total.cells = stats.cells;
@@ -245,9 +234,9 @@ AlignOutput StreamAligner::align_streamed(const seq::PairBatch& batch) {
   total.traceback_ms = stats.traceback_ms;
   total.traceback_cells = stats.traceback_cells;
   total.schedule.shards = stats.shards;
-  total.schedule.lanes = backend_->lanes();
+  total.schedule.lanes = backend().lanes();
   total.schedule.lane_ms = stats.lane_ms;
-  total.schedule.lane_weights = lane_weights(*backend_);
+  total.schedule.lane_weights = lane_weights(backend());
   total.schedule.makespan_ms = stats.align_ms;
   // Chunks serialize on the stream, so "makespan" here is the summed chunk
   // makespan; imbalance compares the all-lane mean against it (idle lanes

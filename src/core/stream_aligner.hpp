@@ -36,9 +36,9 @@ struct StreamOptions {
   /// In-flight chunk budget across the whole pipeline (reader + workers +
   /// merger); peak resident pairs <= chunk_pairs * queue_capacity.
   std::size_t queue_capacity = 4;
-  /// Concurrent scheduler consumers. Above 1, each worker owns its own
-  /// backend replica (core::make_worker_backends) so lanes are never
-  /// shared across threads and host replicas split the thread budget;
+  /// Concurrent scheduler consumers. Each worker owns its own backend
+  /// (core::make_worker_backends, built once at construction) so lanes are
+  /// never shared across threads and host replicas split the thread budget;
   /// results stay bit-identical, the merger restores input order.
   std::size_t align_threads = 1;
   /// Derive SchedulerOptions per chunk via core::recommend_scheduler
@@ -80,8 +80,8 @@ using ChunkSink = std::function<void(std::size_t chunk_index, std::size_t first_
 
 class StreamAligner {
  public:
-  /// Resolves the backend immediately (throws std::invalid_argument on
-  /// unknown kernel/device names, like Aligner).
+  /// Builds the workers' backends immediately (throws std::invalid_argument
+  /// on unknown kernel/device names, like Aligner).
   explicit StreamAligner(AlignerOptions options, StreamOptions stream = {});
   ~StreamAligner();
   StreamAligner(StreamAligner&&) noexcept;
@@ -89,7 +89,9 @@ class StreamAligner {
 
   const AlignerOptions& options() const { return options_; }
   const StreamOptions& stream_options() const { return stream_; }
-  const AlignBackend& backend() const { return *backend_; }
+  /// The first worker's backend; every worker's is built from the same
+  /// options (core::make_worker_backends), so it stands for them all.
+  const AlignBackend& backend() const { return *backends_.front(); }
 
   /// Pumps the source through the pipeline; `sink` (may be null) receives
   /// every chunk's AlignOutput in input order. The first exception from any
@@ -105,7 +107,7 @@ class StreamAligner {
  private:
   AlignerOptions options_;
   StreamOptions stream_;
-  std::unique_ptr<AlignBackend> backend_;
+  std::vector<std::unique_ptr<AlignBackend>> backends_;  ///< one per align worker
 };
 
 }  // namespace saloba::core

@@ -91,15 +91,20 @@ TEST(AlignService, SessionsBitIdenticalToStandaloneCpu) {
 TEST(AlignService, SessionsBitIdenticalToStandaloneSimBandedTraceback) {
   // The full two-phase banded path on the simulated device: every session's
   // scores AND traces must match its standalone run exactly, regardless of
-  // how the batcher merged the three tenants.
+  // how the batcher merged the four tenants.
   AlignerOptions opts = sim_options();
   opts.traceback = true;
   opts.band = 8;
   opts.band_frac = 0.1;
+  // Only the fourth tenant has pairs this long: its routed pairs reach the
+  // X-drop engine through the batcher's per-batch schedule.
+  opts.longread_threshold = 600;
+  opts.xdrop = 120;
   std::vector<seq::PairBatch> batches;
   batches.push_back(saloba::testing::imbalanced_batch(903, 31, 30, 400));
   batches.push_back(saloba::testing::related_batch(904, 25, 80, 120));
   batches.push_back(saloba::testing::imbalanced_batch(905, 19, 20, 200));
+  batches.push_back(saloba::testing::mixed_batch(906, 14, 5, opts.longread_threshold));
 
   ServiceOptions svc;
   svc.batch_pairs = 8;

@@ -15,34 +15,14 @@
 #include "core/aligner.hpp"
 #include "core/backend.hpp"
 #include "core/scheduler.hpp"
-#include "util/rng.hpp"
 
 namespace saloba::core {
 namespace {
 
 constexpr std::size_t kThreshold = 600;
 
-/// Short pairs well under the threshold plus a few long ones over it,
-/// interleaved, with related (scoring) sequences so routing has real
-/// alignments to preserve.
 seq::PairBatch mixed_batch(std::uint64_t seed, std::size_t shorts, std::size_t longs) {
-  util::Xoshiro256 rng(seed);
-  seq::PairBatch batch;
-  const std::size_t total = shorts + longs;
-  std::size_t longs_left = longs;
-  for (std::size_t p = 0; p < total; ++p) {
-    // Interleave: every third slot is long until the quota is spent.
-    const bool make_long = longs_left > 0 && (p % 3 == 1 || total - p <= longs_left);
-    if (make_long) --longs_left;
-    std::size_t rlen = make_long ? kThreshold + 200 + rng.below(300) : 80 + rng.below(120);
-    auto ref = saloba::testing::random_seq(rng, rlen);
-    std::size_t qlen = rlen - rng.below(rlen / 4);
-    std::vector<seq::BaseCode> query(ref.begin(),
-                                     ref.begin() + static_cast<std::ptrdiff_t>(qlen));
-    query = saloba::testing::mutate(rng, query, 0.06);
-    batch.add(std::move(query), std::move(ref));
-  }
-  return batch;
+  return saloba::testing::mixed_batch(seed, shorts, longs, kThreshold);
 }
 
 bool is_routed(const seq::PairBatch& batch, std::size_t i, const LongReadPolicy& policy) {
@@ -134,6 +114,30 @@ TEST(LongReadRoute, TracebackPhaseMirrorsRoutedScorePass) {
   const auto out = Aligner(opts).align(batch);
   ASSERT_EQ(out.traced.size(), batch.size());
 
+  // Counters: the non-routed pairs count exactly as on the classic path;
+  // each routed pair adds its forward cells to the score pass and, when it
+  // scores, its forward plus traceback cells to the traceback phase.
+  seq::PairBatch shorts;
+  std::size_t routed_cells = 0;
+  std::size_t routed_traceback_cells = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!is_routed(batch, i, policy)) {
+      shorts.add(batch.queries[i], batch.refs[i]);
+      continue;
+    }
+    align::WavefrontStats stats;
+    const auto traced = align::xdrop_wavefront_align(
+        batch.refs[i], batch.queries[i], opts.scoring, align::XDropParams{opts.xdrop}, &stats);
+    routed_cells += stats.cells;
+    if (traced.end.score > 0) routed_traceback_cells += stats.cells + stats.traceback_cells;
+  }
+  AlignerOptions off = opts;
+  off.longread_threshold = 0;
+  const auto classic = Aligner(off).align(shorts);
+  EXPECT_GT(routed_traceback_cells, 0u);
+  EXPECT_EQ(out.cells, classic.cells + routed_cells);
+  EXPECT_EQ(out.traceback_cells, classic.traceback_cells + routed_traceback_cells);
+
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto& t = out.traced[i];
     EXPECT_EQ(t.end, out.results[i]) << "pair " << i;
@@ -159,6 +163,20 @@ TEST(LongReadRoute, SimulatedBackendAttributesXdropPhase) {
 
   ASSERT_TRUE(out.kernel_stats.has_value());
   ASSERT_TRUE(out.time_breakdown.has_value());
+  // The routed share, exactly: forward cells of every routed pair (score
+  // pass) plus forward and traceback cells of each scoring one (traceback
+  // phase).
+  const LongReadPolicy policy = opts.longread_policy();
+  std::uint64_t xdrop_cells = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!is_routed(batch, i, policy)) continue;
+    align::WavefrontStats stats;
+    const auto traced = align::xdrop_wavefront_align(
+        batch.refs[i], batch.queries[i], opts.scoring, align::XDropParams{opts.xdrop}, &stats);
+    xdrop_cells += stats.cells;
+    if (traced.end.score > 0) xdrop_cells += stats.cells + stats.traceback_cells;
+  }
+  EXPECT_EQ(out.kernel_stats->totals.xdrop_cells, xdrop_cells);
   EXPECT_GT(out.kernel_stats->totals.xdrop_cells, 0u);
   EXPECT_GT(out.kernel_stats->totals.xdrop_bytes, 0u);
   EXPECT_GT(out.time_breakdown->xdrop_ms, 0.0);

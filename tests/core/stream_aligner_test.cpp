@@ -335,6 +335,57 @@ TEST(StreamAligner, StreamedMixedPresetBitIdenticalToOneShot) {
   EXPECT_GT(out.schedule.lane_weights[1], out.schedule.lane_weights[0]);
 }
 
+TEST(StreamAligner, StreamedLongReadRouteBitIdenticalToOneShot) {
+  // Routed long pairs mixed with short ones, traceback on: the stream gets
+  // the routing policy only through the per-chunk schedule rule, and must
+  // still reproduce the one-shot scores, traces and counters exactly on
+  // host lanes and on one or two simulated devices.
+  constexpr std::size_t kThreshold = 600;
+  auto batch = saloba::testing::mixed_batch(812, 20, 7, kThreshold);
+  AlignerOptions cpu;
+  std::vector<AlignerOptions> shapes = {cpu, sim_options(1), sim_options(2)};
+  for (AlignerOptions& opts : shapes) {
+    opts.longread_threshold = kThreshold;
+    opts.xdrop = 120;
+    opts.traceback = true;
+    auto expected = Aligner(opts).align(batch);
+
+    StreamOptions stream;
+    stream.chunk_pairs = 5;
+    stream.align_threads = 2;
+    StreamAligner streamer(opts, stream);
+    auto out = streamer.align_streamed(batch);
+    EXPECT_EQ(out.results, expected.results) << streamer.backend().name();
+    EXPECT_EQ(out.traced, expected.traced) << streamer.backend().name();
+    EXPECT_EQ(out.cells, expected.cells) << streamer.backend().name();
+    EXPECT_EQ(out.traceback_cells, expected.traceback_cells) << streamer.backend().name();
+  }
+}
+
+TEST(StreamAligner, ReportedLaneWeightsAreTheWorkersBackends) {
+  // Two align workers split a 4-thread host budget, so every chunk runs on
+  // a 2-thread lane; the stream must report those weights, not the ones of
+  // a full-budget backend no chunk ran on.
+  auto batch = saloba::testing::related_batch(813, 24, 60, 80);
+  AlignerOptions opts;
+  opts.cpu_threads = 4;
+  StreamOptions stream;
+  stream.chunk_pairs = 6;
+  stream.align_threads = 2;
+  StreamAligner streamer(opts, stream);
+
+  std::vector<std::vector<double>> chunk_weights;
+  ResidentChunkSource source(batch, stream.chunk_pairs);
+  streamer.run(source, [&](std::size_t, std::size_t, AlignOutput&& out) {
+    chunk_weights.push_back(out.schedule.lane_weights);
+  });
+  ASSERT_FALSE(chunk_weights.empty());
+  EXPECT_EQ(chunk_weights.front(), std::vector<double>{2.0});
+  for (const auto& weights : chunk_weights) EXPECT_EQ(weights, chunk_weights.front());
+  EXPECT_EQ(streamer.align_streamed(batch).schedule.lane_weights, chunk_weights.front());
+  EXPECT_EQ(lane_weights(streamer.backend()), chunk_weights.front());
+}
+
 TEST(StreamAligner, StreamImbalanceCountsIdleLanes) {
   // Companion regression for the streaming call site of the busy-lane bug:
   // single-pair chunks over a 2-device backend all land on lane 0, so the

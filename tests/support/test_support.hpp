@@ -71,4 +71,27 @@ inline seq::PairBatch imbalanced_batch(std::uint64_t seed, std::size_t pairs,
   return batch;
 }
 
+/// Short related pairs (80-199 bp) interleaved with long ones just over
+/// `long_min` bases (every third slot until `longs` are placed): the shape a
+/// long-read routing threshold of `long_min` splits into both engines.
+inline seq::PairBatch mixed_batch(std::uint64_t seed, std::size_t shorts, std::size_t longs,
+                                  std::size_t long_min) {
+  util::Xoshiro256 rng(seed);
+  seq::PairBatch batch;
+  const std::size_t total = shorts + longs;
+  std::size_t longs_left = longs;
+  for (std::size_t p = 0; p < total; ++p) {
+    const bool make_long = longs_left > 0 && (p % 3 == 1 || total - p <= longs_left);
+    if (make_long) --longs_left;
+    std::size_t rlen = make_long ? long_min + 200 + rng.below(300) : 80 + rng.below(120);
+    auto ref = random_seq(rng, rlen);
+    std::size_t qlen = rlen - rng.below(rlen / 4);
+    std::vector<seq::BaseCode> query(ref.begin(),
+                                     ref.begin() + static_cast<std::ptrdiff_t>(qlen));
+    query = mutate(rng, query, 0.06);
+    batch.add(std::move(query), std::move(ref));
+  }
+  return batch;
+}
+
 }  // namespace saloba::testing
