@@ -1,12 +1,14 @@
 // SIMD extension-engine ablation: the first *measured* (not modeled)
 // speedup in the repo. An asserting harness — CI runs `ablation_simd
-// --quick` — that puts a core::HostBackend SIMD lane (the inter-sequence
-// engine) against a scalar lane on the same medium-read batch and requires:
+// --quick` — that puts the inter-sequence SIMD engine
+// (align::simd::align_batch, what every core::HostBackend lane runs) against
+// the scalar oracle (align::align_batch) on the same medium-read batch,
+// both single-threaded, and requires:
 //
 //   1. bit-identical results (scores, endpoints) and cell counts,
-//   2. when the AVX2 kernels are dispatched, a strict >= 2x wall-clock win
-//      (on the generic-fallback build only identity is asserted — the
-//      portable kernels exist for correctness, not speed),
+//   2. when the AVX2 kernels are dispatched, a strict >= 2x wall-clock win;
+//      on the generic-fallback build, no loss (>= 1x) — the claim that lets
+//      the host backend run the SIMD engine alone on every ISA,
 //
 // and emits a BENCH_simd.json throughput record to seed the perf
 // trajectory. Any violation exits 1.
@@ -17,7 +19,6 @@
 #include "align/batch.hpp"
 #include "align/simd_engine.hpp"
 #include "bench_common.hpp"
-#include "core/backend.hpp"
 #include "core/workload.hpp"
 #include "util/args.hpp"
 #include "util/timer.hpp"
@@ -31,12 +32,13 @@ bool check(bool ok, const char* what) {
   return ok;
 }
 
-/// Min-of-reps wall time of one backend lane over the batch.
-double time_backend(core::AlignBackend& backend, const seq::PairBatch& batch, int reps) {
+/// Min-of-reps wall time of `run` over the batch.
+template <typename Run>
+double time_engine(Run run, int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     const util::Timer t;
-    backend.run(batch, 0);
+    run();
     const double ms = t.millis();
     best = r == 0 ? ms : std::min(best, ms);
   }
@@ -64,50 +66,51 @@ int main(int argc, char** argv) {
   auto genome = core::make_genome(4 << 20);
   auto batch = core::make_fig6_batch(genome, len, pairs, /*seed=*/23);
 
-  // Both backends single-threaded on one lane: this measures the engines,
-  // not the thread count (lane weights already scale with threads).
-  using LaneKind = core::HostBackend::LaneKind;
-  core::HostBackend scalar(scoring, {LaneKind::kScalar}, /*threads_total=*/1);
-  core::HostBackend simd(scoring, {LaneKind::kSimd}, /*threads_total=*/1);
+  // Both engines single-threaded: this measures the engines, not the
+  // thread count.
+  auto run_scalar = [&](align::BatchTiming* timing) {
+    return align::align_batch(batch, scoring, timing, /*threads=*/1);
+  };
+  auto run_simd = [&](align::simd::EngineStats* stats) {
+    return align::simd::align_batch(batch, scoring, stats, /*threads=*/1);
+  };
   bool ok = true;
 
   // --- 1. Identity: results and cell accounting, bit for bit -------------
-  auto scalar_out = scalar.run(batch, 0);
-  auto simd_out = simd.run(batch, 0);
+  align::BatchTiming scalar_timing;
+  align::simd::EngineStats stats;
+  const auto scalar_results = run_scalar(&scalar_timing);
+  const auto simd_results = run_simd(&stats);
   std::size_t identical = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    identical += scalar_out.results[i] == simd_out.results[i];
+    identical += scalar_results[i] == simd_results[i];
   }
   ok &= check(identical == batch.size(),
-              "SIMD results (scores + endpoints) bit-identical to the scalar lane");
-  ok &= check(simd_out.cells == scalar_out.cells,
-              "SIMD cell accounting identical to the scalar lane");
+              "SIMD results (scores + endpoints) bit-identical to the scalar engine");
+  ok &= check(stats.cells == scalar_timing.cells,
+              "SIMD cell accounting identical to the scalar engine");
 
   // --- 2. Measured wall-clock ---------------------------------------------
   const bool avx2 = align::simd::compiled_with_avx2() && align::simd::cpu_supports_avx2();
-  const double scalar_ms = time_backend(scalar, batch, reps);
-  const double simd_ms = time_backend(simd, batch, reps);
+  const double scalar_ms = time_engine([&] { run_scalar(nullptr); }, reps);
+  const double simd_ms = time_engine([&] { run_simd(nullptr); }, reps);
   const double speedup = scalar_ms / std::max(simd_ms, 1e-9);
-  const double cells = static_cast<double>(scalar_out.cells);
+  const double cells = static_cast<double>(scalar_timing.cells);
   const double gcups_scalar = cells / (scalar_ms * 1e6);
   const double gcups_simd = cells / (simd_ms * 1e6);
 
-  align::simd::EngineStats stats;
-  align::simd::align_batch(batch, scoring, &stats, /*threads=*/1);
-
   std::printf("SIMD extension ablation — %zu pairs of %zu bp, %.1f M cells, isa=%s\n",
               batch.size(), len, cells / 1e6, align::simd::isa_name());
-  std::printf("  scalar lane       : %9.3f ms  (%6.3f GCUPS)\n", scalar_ms, gcups_scalar);
-  std::printf("  SIMD lane         : %9.3f ms  (%6.3f GCUPS)\n", simd_ms, gcups_simd);
-  std::printf("  measured speedup  : %9.2fx  (8-bit %zu, 16-bit %zu, int32 %zu, "
-              "calibrated lane weight %.2f)\n\n",
-              speedup, stats.pairs_8bit, stats.rescued_16bit, stats.rescued_32bit,
-              core::simd_lane_speedup());
+  std::printf("  scalar engine     : %9.3f ms  (%6.3f GCUPS)\n", scalar_ms, gcups_scalar);
+  std::printf("  SIMD engine       : %9.3f ms  (%6.3f GCUPS)\n", simd_ms, gcups_simd);
+  std::printf("  measured speedup  : %9.2fx  (8-bit %zu, 16-bit %zu, int32 %zu)\n\n",
+              speedup, stats.pairs_8bit, stats.rescued_16bit, stats.rescued_32bit);
 
   if (avx2) {
-    ok &= check(speedup >= 2.0, ">= 2x measured wall-clock win over the scalar backend");
+    ok &= check(speedup >= 2.0, ">= 2x measured wall-clock win over the scalar engine");
   } else {
-    std::printf("note: AVX2 unavailable (generic fallback) — asserting identity only.\n");
+    ok &= check(speedup >= 1.0,
+                "generic fallback: SIMD engine no slower than the scalar engine");
   }
 
   // --- 3. Throughput record ----------------------------------------------

@@ -64,7 +64,7 @@ struct DeliveredSegment {
   std::vector<align::TracedAlignment> traced;
 };
 
-/// A tenant's cell-share slice of a merged batch's modeled breakdown.
+/// A tenant's price-share slice of a merged batch's modeled breakdown.
 /// sm_imbalance is a ratio diagnostic, not a time, so it is not scaled.
 gpusim::TimeBreakdown scaled_breakdown(const gpusim::TimeBreakdown& b, double f) {
   gpusim::TimeBreakdown s = b;
@@ -246,17 +246,43 @@ struct AlignService::Impl {
   }
 
   /// Demultiplexes one aligned merged batch back to its tenants' ordered
-  /// channels, attributing time by in-band DP-cell share. Under the lock.
-  void deliver(MergedBatch& mb, AlignOutput&& out) {
+  /// channels. Each pair is priced by the scheduler's packing load: its
+  /// in-band DP cells, or `longread`'s wavefront estimate for a routed
+  /// pair. A tenant gets its price share of the batch's time and of its
+  /// backend-counted cells; the last segment takes the cells' rounding
+  /// remainder, so the segments sum to the batch exactly. Under the lock.
+  void deliver(MergedBatch& mb, AlignOutput&& out, const LongReadPolicy& longread) {
     const Clock::time_point now = Clock::now();
     batches += 1;
     cells += out.cells;
     align_ms += out.time_ms;
-    double total_cells = 0.0;
-    for (std::size_t i = 0; i < mb.batch.size(); ++i) {
-      total_cells += static_cast<double>(mb.batch.cells_of(i));
+    const seq::PairBatch& batch = mb.batch;
+    std::vector<double> price(batch.size());
+    double total_price = 0.0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::size_t ref_len = batch.refs[i].size();
+      const std::size_t query_len = batch.queries[i].size();
+      price[i] = static_cast<double>(longread.routes(ref_len, query_len)
+                                         ? longread.cells_estimate(ref_len, query_len)
+                                         : batch.cells_of(i));
+      total_price += price[i];
     }
-    for (const Segment& seg : mb.segments) {
+    std::size_t cells_left = out.cells;
+    for (std::size_t k = 0; k < mb.segments.size(); ++k) {
+      const Segment& seg = mb.segments[k];
+      double seg_price = 0.0;
+      for (std::size_t i = seg.offset; i < seg.offset + seg.count; ++i) seg_price += price[i];
+      const double share = total_price > 0.0
+                               ? seg_price / total_price
+                               : static_cast<double>(seg.count) /
+                                     static_cast<double>(batch.size());
+      const std::size_t seg_cells =
+          k + 1 == mb.segments.size()
+              ? cells_left
+              : std::min(cells_left, static_cast<std::size_t>(std::llround(
+                                         static_cast<double>(out.cells) * share)));
+      cells_left -= seg_cells;
+
       auto it = sessions.find(seg.session);
       SALOBA_CHECK_MSG(it != sessions.end(), "segment for unknown session");
       Session& s = *it->second;
@@ -273,17 +299,11 @@ struct AlignService::Impl {
         d.traced.assign(out.traced.begin() + static_cast<std::ptrdiff_t>(seg.offset),
                         out.traced.begin() + static_cast<std::ptrdiff_t>(seg.offset + seg.count));
       }
-      double seg_cells = 0.0;
       for (std::size_t i = seg.offset; i < seg.offset + seg.count; ++i) {
-        seg_cells += static_cast<double>(mb.batch.cells_of(i));
         s.latencies_ms.push_back(ms_between(mb.admitted[i], now));
       }
-      const double share = total_cells > 0.0
-                               ? seg_cells / total_cells
-                               : static_cast<double>(seg.count) /
-                                     static_cast<double>(mb.batch.size());
       s.align_ms += out.time_ms * share;
-      s.cells += static_cast<std::size_t>(std::llround(seg_cells));
+      s.cells += seg_cells;
       s.batches += 1;
       if (out.time_breakdown) {
         if (!s.breakdown) s.breakdown.emplace();
@@ -306,13 +326,13 @@ struct AlignService::Impl {
         // resolved per merged batch (the shared per-chunk rule, minus the
         // band step — a merged batch always carries final bands).
         SchedulerOptions wanted = resolve_chunk_schedule(
-            mb->batch, options, std::nullopt, service.autotune_schedule, *backend);
+            mb->batch, options, std::nullopt, *backend);
         AlignOutput out = cache.scheduler(wanted).run(mb->batch);
         double wall = timer.millis();
         std::lock_guard<std::mutex> lock(mutex);
         if (stopping) return;
         batch_wall_ms += wall;
-        deliver(*mb, std::move(out));
+        deliver(*mb, std::move(out), wanted.longread);
       }
     } catch (...) {
       {

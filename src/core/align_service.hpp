@@ -53,14 +53,19 @@ struct SessionStats {
   std::size_t inflight_pairs = 0;   ///< batched, not yet delivered
   std::size_t batches = 0;  ///< merged batches this session contributed to
   /// Align time attributed to this tenant: each merged batch's makespan
-  /// split by the tenants' in-band DP-cell shares of that batch.
+  /// split by the tenants' price shares of that batch. A pair's price is
+  /// the scheduler's packing load: its in-band DP cells, or for a pair
+  /// routed to the X-drop engine LongReadPolicy::cells_estimate.
   double align_ms = 0.0;
-  std::size_t cells = 0;  ///< the tenant's in-band DP cells (the share basis)
+  /// The tenant's share of each merged batch's backend-counted DP cells, by
+  /// the same price share; over all sessions these sum to
+  /// ServiceStats::cells, less the shares of spans dropped by cancel().
+  std::size_t cells = 0;
   /// submit-to-delivery latency quantiles over every completed pair
   /// (util::percentile_nearest_rank — exact small-N nearest rank).
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
-  /// Simulated backends only: the tenant's cell-share slice of the merged
+  /// Simulated backends only: the tenant's price-share slice of the merged
   /// batches' modeled time breakdowns.
   std::optional<gpusim::TimeBreakdown> time_breakdown;
   double weight = 1.0;

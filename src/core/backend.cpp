@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "align/batch.hpp"
 #include "align/simd_engine.hpp"
 #include "align/traceback_engine.hpp"
 #include "align/xdrop_wavefront.hpp"
@@ -14,7 +13,6 @@
 #include "gpusim/device_registry.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace saloba::core {
@@ -161,41 +159,23 @@ std::vector<double> lane_weights(const AlignBackend& backend) {
   return weights;
 }
 
-HostBackend::HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-                         int threads_total, align::Score zdrop)
-    : scoring_(scoring), kinds_(std::move(kinds)), zdrop_(zdrop) {
+HostBackend::HostBackend(align::ScoringScheme scoring, int lanes, int threads_total,
+                         align::Score zdrop)
+    : scoring_(scoring), lanes_(lanes), zdrop_(zdrop) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
-  SALOBA_CHECK_MSG(!kinds_.empty(), "host backend needs at least one lane");
-  if (kinds_.size() > 1) {
+  SALOBA_CHECK_MSG(lanes_ >= 1, "host backend needs at least one lane");
+  if (lanes_ > 1) {
     // Divide the host budget so concurrent lanes share, not fight over,
     // the cores. A single lane keeps the library-default team.
-    threads_per_lane_ = thread_share(threads_total, lanes());
+    threads_per_lane_ = thread_share(threads_total, lanes_);
   } else if (threads_total > 0) {
     threads_per_lane_ = threads_total;
   }
-  const double threads = threads_per_lane_ > 0 ? static_cast<double>(threads_per_lane_) : 1.0;
-  for (LaneKind kind : kinds_) {
-    weights_.push_back(kind == LaneKind::kSimd ? threads * simd_lane_speedup() : threads);
-  }
-  const auto simd_lanes = std::count(kinds_.begin(), kinds_.end(), LaneKind::kSimd);
-  name_ = simd_lanes == 0 ? "cpu" : simd_lanes == lanes() ? "simd" : "simd+cpu";
-}
-
-double HostBackend::lane_weight(int lane) const {
-  SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
-  return weights_[static_cast<std::size_t>(lane)];
 }
 
 BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   BackendOutput out;
-  if (lane_kind(lane) == LaneKind::kScalar) {
-    align::BatchTiming timing;
-    out.results = align::align_batch(batch, scoring_, &timing, threads_per_lane_, zdrop_);
-    out.time_ms = timing.wall_ms;
-    out.cells = timing.cells;
-    return out;
-  }
   align::simd::EngineStats stats;
   out.results = align::simd::align_batch(batch, scoring_, &stats, threads_per_lane_, zdrop_);
   out.time_ms = stats.wall_ms;
@@ -236,48 +216,11 @@ ChainingOutput HostBackend::run_chaining(const seedext::ChainBatch& batch,
   return chain_shard(batch, tasks, threads_per_lane_);
 }
 
-double simd_lane_speedup() {
-  // Deterministic probe: one cohort-friendly batch of related pairs, both
-  // engines timed single-threaded (lane weights already scale by thread
-  // count), min of two reps each after a shared warm-up. Static-local: runs
-  // once per process, when the first HostBackend with a SIMD lane is built.
-  static const double ratio = [] {
-    util::Xoshiro256 rng(0x5a10ba);
-    seq::PairBatch probe;
-    for (int p = 0; p < 192; ++p) {
-      std::vector<seq::BaseCode> ref(144);
-      for (auto& b : ref) b = static_cast<seq::BaseCode>(rng.below(4));
-      std::vector<seq::BaseCode> query(ref.begin(), ref.begin() + 120);
-      for (auto& b : query) {
-        if (rng.bernoulli(0.08)) b = static_cast<seq::BaseCode>(rng.below(4));
-      }
-      probe.add(std::move(query), std::move(ref));
-    }
-    const align::ScoringScheme scoring;
-    auto time_scalar = [&] {
-      const util::Timer t;
-      align::align_batch(probe, scoring, nullptr, /*threads=*/1);
-      return t.millis();
-    };
-    auto time_simd = [&] {
-      const util::Timer t;
-      align::simd::align_batch(probe, scoring, nullptr, /*threads=*/1);
-      return t.millis();
-    };
-    time_scalar();  // warm-up (page-in, frequency ramp)
-    time_simd();
-    const double scalar_ms = std::min(time_scalar(), time_scalar());
-    const double simd_ms = std::max(std::min(time_simd(), time_simd()), 1e-6);
-    return std::clamp(scalar_ms / simd_ms, 1.0, 64.0);
-  }();
-  return ratio;
-}
-
 SimulatedGpuBackend::SimulatedGpuBackend(const AlignerOptions& options)
     : scoring_(options.scoring) {
   SALOBA_CHECK_MSG(scoring_.valid(), "invalid scoring scheme");
   SALOBA_CHECK_MSG(options.devices >= 1, "need at least one device");
-  kernel_ = kernels::make_kernel(options.kernel, options.nominal_batch_pairs);
+  kernel_ = kernels::make_kernel(options.kernel);
 
   std::vector<gpusim::DeviceSpec> specs;
   for (const std::string& preset : device_preset_list(options.device)) {
@@ -401,27 +344,7 @@ std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options) {
     throw std::invalid_argument("cpu_lanes=" + std::to_string(options.cpu_lanes) +
                                 " but a host backend needs at least one lane");
   }
-  std::vector<std::string> presets = device_preset_list(options.device);
-  if (std::none_of(presets.begin(), presets.end(), is_host_preset)) {
-    // GPU preset names (the "rtx3090" default) only matter to the simulated
-    // backend: the host runs its scalar engine.
-    presets = {"cpu"};
-  } else if (!std::all_of(presets.begin(), presets.end(), is_host_preset)) {
-    throw std::invalid_argument(
-        "device list \"" + options.device +
-        "\" mixes host engines (cpu/simd) with GPU presets; host lanes and "
-        "simulated devices cannot share one backend");
-  }
-  // A single entry stands for cpu_lanes identical lanes; a list is one lane
-  // per entry.
-  const std::size_t repeat =
-      presets.size() == 1 ? static_cast<std::size_t>(options.cpu_lanes) : 1;
-  std::vector<HostBackend::LaneKind> kinds;
-  for (const std::string& p : presets) {
-    kinds.insert(kinds.end(), repeat,
-                 p == "simd" ? HostBackend::LaneKind::kSimd : HostBackend::LaneKind::kScalar);
-  }
-  return std::make_unique<HostBackend>(options.scoring, std::move(kinds), options.cpu_threads,
+  return std::make_unique<HostBackend>(options.scoring, options.cpu_lanes, options.cpu_threads,
                                        options.zdrop);
 }
 

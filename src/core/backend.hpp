@@ -144,71 +144,51 @@ class AlignBackend {
 /// All of a backend's lane weights, in lane order (size == lanes()).
 std::vector<double> lane_weights(const AlignBackend& backend);
 
-/// The host backend: one lane per entry of `kinds`, each running either the
-/// inter-sequence SIMD engine (align::simd::align_batch) or the scalar
-/// OpenMP batch aligner (align::align_batch). Both engines are bit-identical
-/// (scores, endpoints, cell counts), so the lane kind is a speed property
-/// only: it chooses the engine inside run() and nothing else. Lanes split
-/// `threads_total` OpenMP threads evenly (threads_total 0 = hardware
-/// concurrency) so overlapping shard runs never oversubscribe the machine
-/// and wall-clock timing stays honest; a single lane keeps the default team
-/// unless `threads_total` caps it. Named "cpu" (all scalar), "simd" (all
-/// SIMD) or "simd+cpu" (mixed).
+/// The host backend: `lanes` identical lanes, each running the
+/// inter-sequence SIMD batch engine (align::simd::align_batch; the scalar
+/// align::align_batch is its bit-identical oracle and not a lane engine).
+/// Lanes split `threads_total` OpenMP threads evenly (threads_total 0 =
+/// hardware concurrency) so overlapping shard runs never oversubscribe the
+/// machine and wall-clock timing stays honest; a single lane keeps the
+/// default team unless `threads_total` caps it. Lanes are uniform, so they
+/// keep the base lane_weight of 1.0. Named "simd".
 class HostBackend final : public AlignBackend {
  public:
-  /// What engine a lane runs.
-  enum class LaneKind { kSimd, kScalar };
-
   /// `zdrop > 0` applies z-drop row pruning to every pair on every lane
-  /// (both engines implement the identical rule, see
-  /// align::BandedParams::zdrop); per-pair bands come from the batch itself
-  /// (the scheduler materializes AlignerOptions band knobs into it).
-  HostBackend(align::ScoringScheme scoring, std::vector<LaneKind> kinds,
-              int threads_total = 0, align::Score zdrop = 0);
+  /// (the rule of align::BandedParams::zdrop); per-pair bands come from the
+  /// batch itself (the scheduler materializes AlignerOptions band knobs
+  /// into it).
+  HostBackend(align::ScoringScheme scoring, int lanes, int threads_total = 0,
+              align::Score zdrop = 0);
 
   const std::string& name() const override { return name_; }
-  int lanes() const override { return static_cast<int>(kinds_.size()); }
+  int lanes() const override { return lanes_; }
   /// OpenMP thread cap per lane run; 0 = the default team (single lane).
   int threads_per_lane() const { return threads_per_lane_; }
-  LaneKind lane_kind(int lane) const { return kinds_[static_cast<std::size_t>(lane)]; }
-  /// Per-lane thread count x a *calibrated* engine throughput ratio: SIMD
-  /// lanes weigh simd_lane_speedup() times a scalar lane, so the weighted
-  /// LPT places shards by measured speed, not lane count. Computed once at
-  /// construction (the probe never runs for an all-scalar backend); scalar
-  /// lanes alone are uniform, keeping the unweighted scheduler path.
-  double lane_weight(int lane) const override;
   BackendOutput run(const seq::PairBatch& batch, int lane) override;
   /// Engine params mirror the score pass (per-pair band + this backend's
-  /// zdrop), so traced endpoints are bit-identical to run()'s results on
-  /// either lane kind.
+  /// zdrop), so traced endpoints are bit-identical to run()'s results.
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
                                 const TracebackSettings& settings, int lane) override;
-  /// Both lane kinds run the same wavefront engine on this lane's thread
-  /// share, timed on the wall clock. A traced run's one wall time is split
-  /// between the score and traceback halves by their engine cells (forward
-  /// sweep vs traceback replay).
+  /// The wavefront engine on this lane's thread share, timed on the wall
+  /// clock. A traced run's one wall time is split between the score and
+  /// traceback halves by their engine cells (forward sweep vs traceback
+  /// replay).
   LongReadOutput run_longread(const seq::PairBatch& batch, align::Score xdrop, bool traced,
                               int lane) override;
-  /// Both lane kinds run the same engine: chaining's scalar/vector split is
-  /// a per-task ISA dispatch inside chain_tasks_run, not a lane property.
+  /// Chaining's scalar/vector split is a per-task ISA dispatch inside
+  /// chain_tasks_run, not a lane property.
   ChainingOutput run_chaining(const seedext::ChainBatch& batch,
                               std::span<const std::size_t> tasks, int lane) override;
 
  private:
   align::ScoringScheme scoring_;
-  std::vector<LaneKind> kinds_;
-  std::vector<double> weights_;
+  int lanes_ = 1;
   int threads_per_lane_ = 0;
   align::Score zdrop_ = 0;
-  std::string name_;
+  std::string name_ = "simd";
 };
-
-/// Measured single-thread throughput of align::simd::align_batch relative to
-/// the scalar align::align_batch: a deterministic micro-probe run once per
-/// process (cached), clamped to [1, 64] so a degenerate measurement can
-/// never starve a lane. This is HostBackend's lane-weight calibration.
-double simd_lane_speedup();
 
 /// A reproduced GPU kernel on N simulated devices. Each lane owns a
 /// gpusim::Device; the kernel object is stateless per run and shared.
@@ -260,12 +240,10 @@ class SimulatedGpuBackend final : public AlignBackend {
   std::string name_;
 };
 
-/// Builds the backend `options` asks for. Under Backend::kCpu the device
-/// list maps to HostBackend lane kinds: "simd" is a SIMD lane, "cpu" a
-/// scalar lane, and a list naming no host engine (the "rtx3090" default)
-/// one scalar lane; a single entry is repeated `cpu_lanes` times. Throws
-/// std::invalid_argument for cpu_lanes < 1 or a list mixing host engines
-/// with GPU presets.
+/// Builds the backend `options` asks for. Under Backend::kCpu it is a
+/// HostBackend of `cpu_lanes` lanes sharing `cpu_threads` with `zdrop`;
+/// `device` is not read there. Throws std::invalid_argument for
+/// cpu_lanes < 1.
 std::unique_ptr<AlignBackend> make_backend(const AlignerOptions& options);
 
 /// One backend per concurrent worker (StreamAligner / AlignService workers),

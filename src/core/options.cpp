@@ -56,8 +56,4 @@ std::vector<std::string> device_preset_list(const std::string& device) {
   return presets;
 }
 
-bool is_host_preset(const std::string& preset) {
-  return preset == "cpu" || preset == "simd";
-}
-
 }  // namespace saloba::core

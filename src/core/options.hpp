@@ -82,19 +82,10 @@ struct AlignerOptions {
   /// "p100", "v100" — or a comma-separated list of presets (e.g.
   /// "gtx1650,rtx3090") for a heterogeneous backend with one lane per
   /// preset; the scheduler then partitions work by each lane's relative
-  /// throughput (cost-aware weighted LPT).
-  ///
-  /// With Backend::kCpu the list instead names the lanes of one
-  /// core::HostBackend: "simd" (the inter-sequence SIMD batch engine) and
-  /// "cpu" (the scalar OpenMP aligner). "simd,cpu" builds a mixed host
-  /// backend — one lane per entry, SIMD lanes weighted by their measured
-  /// speedup; a single entry is repeated cpu_lanes times. Host engines and
-  /// GPU presets cannot be mixed in one list; a list of GPU presets only
-  /// under Backend::kCpu means scalar lanes (device string ignored).
+  /// throughput (cost-aware weighted LPT). Not read under Backend::kCpu:
+  /// every host lane runs the SIMD batch engine (see cpu_lanes).
   std::string device = "rtx3090";
   align::ScoringScheme scoring;
-  /// Paper-scale batch size used for footprint checks (0 = actual batch).
-  std::size_t nominal_batch_pairs = 0;
 
   // --- Banded extension (Sec. VII-B) --------------------------------------
   /// Default band for batches without a per-pair band channel: only cells
@@ -132,14 +123,11 @@ struct AlignerOptions {
   /// banded score pass; the CPU backend's zdrop is mirrored so endpoints
   /// agree there too.
   bool traceback = false;
-  /// Rows between the traceback engine's row-state snapshots (0 = ~sqrt of
-  /// the reference length; see align::TracebackParams::checkpoint_rows).
-  std::size_t traceback_checkpoint_rows = 0;
 
   // --- Scheduler (host-side batching) ------------------------------------
   /// Simulated devices the scheduler spreads shards across (Sec. VII-C
   /// multi-GPU dispatch; simulated backend only — host lanes come from
-  /// cpu_lanes / the device list). With 1 device and no shard cap, align() degenerates to
+  /// cpu_lanes). With 1 device and no shard cap, align() degenerates to
   /// the classic single-launch path. When `device` lists several presets the
   /// lane count comes from the list instead; `devices` must then be 1 (the
   /// default) or match the list length.
@@ -152,10 +140,8 @@ struct AlignerOptions {
   /// How pairs are packed into shards; kSorted is the paper's "approximate
   /// sorting" mitigation for inter-device imbalance.
   gpusim::SplitPolicy split_policy = gpusim::SplitPolicy::kSorted;
-  /// Worker threads for async shard dispatch (0 = one per device lane).
-  std::size_t scheduler_threads = 0;
-  /// Host backend lanes for a single-entry device string (>= 1; make_backend
-  /// throws otherwise): more than one splits the host into independent
+  /// Host backend lanes (>= 1; make_backend throws otherwise), each running
+  /// the SIMD batch engine: more than one splits the host into independent
   /// lanes the scheduler can overlap, each budgeted cpu_threads / cpu_lanes
   /// OpenMP threads so concurrent shards never oversubscribe the machine.
   int cpu_lanes = 1;
@@ -198,10 +184,6 @@ struct ServiceOptions {
   /// replica (core::make_worker_backends), exactly like
   /// StreamOptions::align_threads.
   std::size_t align_threads = 1;
-  /// Derive SchedulerOptions per merged batch via core::recommend_scheduler
-  /// (the StreamAligner default); false falls back to the AlignerOptions
-  /// scheduler fields.
-  bool autotune_schedule = true;
 };
 
 /// Splits an AlignerOptions::device value into its comma-separated preset
@@ -209,9 +191,5 @@ struct ServiceOptions {
 /// an empty string or an empty list element ("gtx1650,,rtx3090"); names are
 /// not resolved here — gpusim::device_by_name validates them.
 std::vector<std::string> device_preset_list(const std::string& device);
-
-/// True for device-list entries naming a host engine rather than a GPU
-/// preset: "cpu" (scalar OpenMP aligner) and "simd" (SIMD batch engine).
-bool is_host_preset(const std::string& preset);
 
 }  // namespace saloba::core

@@ -21,24 +21,13 @@ void materialize_chunk_bands(seq::PairBatch& chunk, const AlignerOptions& option
 SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& chunk,
                                         const AlignerOptions& options,
                                         const std::optional<SchedulerOptions>& override_schedule,
-                                        bool autotune, const AlignBackend& backend) {
-  SchedulerOptions wanted;
-  if (override_schedule) {
-    wanted = *override_schedule;
-  } else if (autotune) {
-    wanted = recommend_scheduler(stats_of(chunk), lane_weights(backend));
-    wanted.threads = options.scheduler_threads;
-  } else {
-    wanted.max_shard_pairs = options.max_shard_pairs;
-    wanted.policy = options.split_policy;
-    wanted.threads = options.scheduler_threads;
-  }
+                                        const AlignBackend& backend) {
+  SchedulerOptions wanted = override_schedule
+                                ? *override_schedule
+                                : recommend_scheduler(stats_of(chunk), lane_weights(backend));
   // Two-phase runs: AlignerOptions::traceback applies unless an explicit
   // override already turned the phase on itself.
-  if (!wanted.traceback && options.traceback) {
-    wanted.traceback = true;
-    wanted.traceback_settings.checkpoint_rows = options.traceback_checkpoint_rows;
-  }
+  if (!wanted.traceback && options.traceback) wanted.traceback = true;
   // Long-read routing follows the Aligner's policy unless an explicit
   // override already set one: the scheduler is the only place that routes,
   // so this is how streamed and service batches reach the X-drop engine.

@@ -1,11 +1,11 @@
 // Per-chunk scheduling plumbing shared by the single-stream pipeline
 // (core::StreamAligner workers) and the multi-tenant service batcher
 // (core::AlignService): the band-materialization override rule, the
-// schedule-resolution rule (explicit override > per-chunk autotune >
-// AlignerOptions fields), and a small BatchScheduler cache so chunks whose
-// autotuned options oscillate between a handful of configurations never
-// rebuild a scheduler (and its thread pool). Extracted from
-// stream_aligner.cpp so the two consumers cannot drift apart.
+// schedule-resolution rule (explicit override > per-chunk autotune), and a
+// small BatchScheduler cache so chunks whose autotuned options oscillate
+// between a handful of configurations never rebuild a scheduler (and its
+// thread pool). Extracted from stream_aligner.cpp so the two consumers
+// cannot drift apart.
 #pragma once
 
 #include <memory>
@@ -32,14 +32,14 @@ void materialize_chunk_bands(seq::PairBatch& chunk, const AlignerOptions& option
 
 /// The per-chunk schedule rule: `override_schedule` wins outright; otherwise
 /// autotune (core::recommend_scheduler over the chunk's stats and the
-/// backend's lane weights) or the AlignerOptions scheduler fields. The
+/// backend's lane weights). The
 /// traceback phase and the long-read routing policy from AlignerOptions
 /// apply unless the override already enabled its own — the same override
 /// discipline as the band policy.
 SchedulerOptions resolve_chunk_schedule(const seq::PairBatch& chunk,
                                         const AlignerOptions& options,
                                         const std::optional<SchedulerOptions>& override_schedule,
-                                        bool autotune, const AlignBackend& backend);
+                                        const AlignBackend& backend);
 
 /// A small owning cache of BatchSchedulers keyed by their options. Not
 /// thread-safe: each worker thread owns one (schedulers spawn thread pools,

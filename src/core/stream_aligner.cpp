@@ -146,7 +146,7 @@ StreamStats StreamAligner::run(PairChunkSource& source, const ChunkSink& sink) {
         // Aligner::align with the same AlignerOptions.
         materialize_chunk_bands(in->batch, options_, stream_.schedule);
         SchedulerOptions wanted = resolve_chunk_schedule(
-            in->batch, options_, stream_.schedule, stream_.autotune_schedule, *backend);
+            in->batch, options_, stream_.schedule, *backend);
         OutChunk out;
         out.index = in->index;
         out.first_pair = in->first_pair;

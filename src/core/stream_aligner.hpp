@@ -41,11 +41,8 @@ struct StreamOptions {
   /// never shared across threads and host replicas split the thread budget;
   /// results stay bit-identical, the merger restores input order.
   std::size_t align_threads = 1;
-  /// Derive SchedulerOptions per chunk via core::recommend_scheduler
-  /// (ignored when `schedule` is set).
-  bool autotune_schedule = true;
-  /// Explicit scheduling override; unset + !autotune_schedule falls back to
-  /// the AlignerOptions scheduler fields, like the one-shot Aligner.
+  /// Explicit scheduling override; unset = SchedulerOptions derived per
+  /// chunk by core::recommend_scheduler.
   std::optional<SchedulerOptions> schedule;
 };
 

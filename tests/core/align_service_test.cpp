@@ -51,28 +51,39 @@ Drained drain_session(AlignService& service, SessionId id) {
 
 TEST(AlignService, SessionsBitIdenticalToStandaloneCpu) {
   AlignerOptions opts;  // CPU
+  // Only tenant c has pairs this long: they reach the X-drop engine, so the
+  // cell partition below also covers routed pairs.
+  opts.longread_threshold = 2000;
+  opts.xdrop = 60;
   auto batch_a = saloba::testing::imbalanced_batch(901, 57, 20, 300);
   auto batch_b = saloba::testing::related_batch(902, 43, 60, 90);
+  auto batch_c = saloba::testing::mixed_batch(907, 20, 3, opts.longread_threshold);
   auto expected_a = Aligner(opts).align(batch_a);
   auto expected_b = Aligner(opts).align(batch_b);
+  auto expected_c = Aligner(opts).align(batch_c);
 
   ServiceOptions svc;
-  svc.batch_pairs = 16;  // far smaller than either session: forces merging
+  svc.batch_pairs = 16;  // smaller than every session: forces merging
   AlignService service(opts, svc);
   SessionId a = service.open();
   SessionId b = service.open();
-  // Interleaved submission so merged batches mix both tenants.
+  SessionId c = service.open();
+  // Interleaved submission so merged batches mix the tenants.
   ASSERT_TRUE(service.submit(a, batch_a));
   ASSERT_TRUE(service.submit(b, batch_b));
+  ASSERT_TRUE(service.submit(c, batch_c));
   service.finish(a);
   service.finish(b);
+  service.finish(c);
 
   EXPECT_EQ(drain_session(service, a).results, expected_a.results);
   EXPECT_EQ(drain_session(service, b).results, expected_b.results);
+  EXPECT_EQ(drain_session(service, c).results, expected_c.results);
 
   // Per-tenant attribution partitions the service aggregates.
   auto stats = service.stats();
-  EXPECT_EQ(stats.pairs, batch_a.size() + batch_b.size());
+  EXPECT_EQ(stats.pairs, batch_a.size() + batch_b.size() + batch_c.size());
+  EXPECT_EQ(stats.cells, expected_a.cells + expected_b.cells + expected_c.cells);
   EXPECT_GT(stats.batches, 0u);
   EXPECT_GT(stats.gcups, 0.0);
   std::size_t session_cells = 0;
@@ -86,6 +97,23 @@ TEST(AlignService, SessionsBitIdenticalToStandaloneCpu) {
   }
   EXPECT_EQ(session_cells, stats.cells);
   EXPECT_NEAR(session_ms, stats.align_ms, 1e-6 + 1e-9 * stats.align_ms);
+}
+
+TEST(AlignService, RoutedTenantCellsMatchAligner) {
+  // A routed pair is priced by the wavefront's cell estimate, not its
+  // nominal n·m table: a lone tenant's cells (and so its GCUPS) are the
+  // backend-counted cells of its batches, exactly Aligner::align's.
+  AlignerOptions opts;
+  opts.longread_threshold = 2000;
+  opts.xdrop = 60;
+  auto batch = saloba::testing::mixed_batch(901, 12, 3, 3000);
+  auto expected = Aligner(opts).align(batch);
+
+  AlignService service(opts);
+  auto got = service.align(batch);
+  EXPECT_EQ(got.results, expected.results);
+  EXPECT_EQ(got.cells, expected.cells);
+  EXPECT_EQ(got.cells, service.stats().cells);
 }
 
 TEST(AlignService, SessionsBitIdenticalToStandaloneSimBandedTraceback) {

@@ -16,10 +16,8 @@
 namespace saloba::core {
 namespace {
 
-using LaneKind = HostBackend::LaneKind;
-
-TEST(HostBackend, ScalarRunsBatchOnSingleLane) {
-  HostBackend backend{align::ScoringScheme{}, {LaneKind::kScalar}};
+TEST(HostBackend, RunsBatchOnSingleLane) {
+  HostBackend backend{align::ScoringScheme{}, 1};
   EXPECT_EQ(backend.lanes(), 1);
   auto batch = saloba::testing::related_batch(701, 12, 90, 120);
   auto out = backend.run(batch, 0);
@@ -28,11 +26,10 @@ TEST(HostBackend, ScalarRunsBatchOnSingleLane) {
   EXPECT_GT(out.time_ms, 0.0);
 }
 
-TEST(HostBackend, ScalarMultiLaneSplitsThreadBudget) {
+TEST(HostBackend, MultiLaneSplitsThreadBudget) {
   // 3 lanes over a 6-thread budget: 2 OpenMP threads per lane, every lane
-  // produces the same results as the single-lane reference.
-  HostBackend backend{align::ScoringScheme{},
-                      {LaneKind::kScalar, LaneKind::kScalar, LaneKind::kScalar}, 6};
+  // produces the same results as the scalar oracle.
+  HostBackend backend{align::ScoringScheme{}, 3, 6};
   EXPECT_EQ(backend.lanes(), 3);
   EXPECT_EQ(backend.threads_per_lane(), 2);
   auto batch = saloba::testing::related_batch(705, 10, 70, 90);
@@ -42,9 +39,9 @@ TEST(HostBackend, ScalarMultiLaneSplitsThreadBudget) {
   }
 }
 
-TEST(HostBackend, ScalarMultiLaneBudgetNeverRoundsToZero) {
+TEST(HostBackend, MultiLaneBudgetNeverRoundsToZero) {
   // More lanes than budgeted threads: each lane still gets one thread.
-  HostBackend backend{align::ScoringScheme{}, std::vector<LaneKind>(4, LaneKind::kScalar), 2};
+  HostBackend backend{align::ScoringScheme{}, 4, 2};
   EXPECT_EQ(backend.threads_per_lane(), 1);
 }
 
@@ -118,14 +115,13 @@ TEST(SimulatedGpuBackend, UnknownDeviceThrowsListingValidNames) {
   }
 }
 
-TEST(HostBackend, ScalarLaneWeightsAreUniform) {
-  HostBackend single{align::ScoringScheme{}, {LaneKind::kScalar}};
-  EXPECT_DOUBLE_EQ(single.lane_weight(0), 1.0);
-  HostBackend multi{align::ScoringScheme{},
-                    {LaneKind::kScalar, LaneKind::kScalar, LaneKind::kScalar}, 6};
-  EXPECT_DOUBLE_EQ(multi.lane_weight(0), 2.0);  // threads_per_lane
-  EXPECT_DOUBLE_EQ(multi.lane_weight(1), multi.lane_weight(0));
-  EXPECT_DOUBLE_EQ(multi.lane_weight(2), multi.lane_weight(0));
+TEST(HostBackend, LaneWeightsAreUniform) {
+  HostBackend single{align::ScoringScheme{}, 1};
+  EXPECT_EQ(lane_weights(single), std::vector<double>{1.0});
+  // Identical lanes keep the base weight whatever their thread share, so
+  // the scheduler takes its unweighted packing path.
+  HostBackend multi{align::ScoringScheme{}, 3, 6};
+  EXPECT_EQ(lane_weights(multi), std::vector<double>(3, 1.0));
 }
 
 TEST(SimulatedGpuBackend, MixedPresetsBuildOneWeightedLanePerPreset) {
@@ -206,7 +202,7 @@ TEST(SimulatedGpuBackendDeath, MixedPresetsRejectConflictingDeviceCount) {
 
 TEST(MakeBackend, DispatchesOnOptions) {
   AlignerOptions cpu;
-  EXPECT_EQ(make_backend(cpu)->name(), "cpu");
+  EXPECT_EQ(make_backend(cpu)->name(), "simd");
   AlignerOptions sim;
   sim.backend = Backend::kSimulated;
   auto backend = make_backend(sim);

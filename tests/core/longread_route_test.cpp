@@ -66,28 +66,20 @@ TEST(LongReadRoute, RoutedPairsMatchWavefrontEngineOnCpu) {
 
 TEST(LongReadRoute, ShortReadWorkloadsAreRoutingInvariant) {
   // Every pair below the threshold: enabling routing must be a no-op,
-  // bit-identical results on both host backends.
+  // bit-identical results on the host backend.
   const auto batch = saloba::testing::related_batch(9102, 24, 100, 130);
-  for (const char* device : {"rtx3090", "simd"}) {
-    AlignerOptions on = routed_options(Backend::kCpu);
-    on.device = device;
-    AlignerOptions off = on;
-    off.longread_threshold = 0;
-    const auto with = Aligner(on).align(batch);
-    const auto without = Aligner(off).align(batch);
-    EXPECT_EQ(with.results, without.results) << device;
-    EXPECT_EQ(with.cells, without.cells) << device;
-  }
+  const AlignerOptions on = routed_options(Backend::kCpu);
+  AlignerOptions off = on;
+  off.longread_threshold = 0;
+  const auto with = Aligner(on).align(batch);
+  const auto without = Aligner(off).align(batch);
+  EXPECT_EQ(with.results, without.results);
+  EXPECT_EQ(with.cells, without.cells);
 }
 
 TEST(LongReadRoute, AllBackendsAgreeOnRoutedBatches) {
   const auto batch = mixed_batch(9103, 12, 4);
   const auto cpu = Aligner(routed_options(Backend::kCpu)).align(batch);
-
-  AlignerOptions simd = routed_options(Backend::kCpu);
-  simd.device = "simd";
-  EXPECT_EQ(Aligner(simd).align(batch).results, cpu.results);
-
   const auto sim = Aligner(routed_options(Backend::kSimulated)).align(batch);
   EXPECT_EQ(sim.results, cpu.results);
 }

@@ -1,6 +1,8 @@
-// HostBackend SIMD lanes: device-string routing, calibrated lane weights,
-// and bit-identical parity with scalar lanes through the whole scheduler stack
-// (score pass, banded/z-drop runs, two-phase traceback). `ctest -L simd`.
+// HostBackend lanes run the SIMD batch engine: bit-identical parity with
+// the scalar oracle (align::align_batch, align::banded_traceback) on the
+// score pass, banded/z-drop runs and the traceback phase, and make_backend's
+// host branch (cpu_lanes identical lanes whatever the device string).
+// `ctest -L simd`.
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -9,146 +11,105 @@
 
 #include "../support/test_support.hpp"
 #include "align/batch.hpp"
+#include "align/traceback_engine.hpp"
 #include "core/aligner.hpp"
 
 namespace saloba::core {
 namespace {
 
-using LaneKind = HostBackend::LaneKind;
-
-TEST(HostBackend, SimdRunMatchesScalarBackend) {
+TEST(HostBackend, RunMatchesScalarOracle) {
   auto batch = saloba::testing::imbalanced_batch(801, 40, 5, 300);
-  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
-  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
+  HostBackend simd{align::ScoringScheme{}, 1};
   EXPECT_EQ(simd.lanes(), 1);
   EXPECT_EQ(simd.name(), "simd");
-  auto want = scalar.run(batch, 0);
+  align::BatchTiming want;
+  const auto want_results = align::align_batch(batch, align::ScoringScheme{}, &want);
   auto got = simd.run(batch, 0);
-  EXPECT_EQ(got.results, want.results);
+  EXPECT_EQ(got.results, want_results);
   EXPECT_EQ(got.cells, want.cells);
   EXPECT_FALSE(got.kernel_stats.has_value());
 }
 
-TEST(HostBackend, SimdBandedZdropRunMatchesScalarBackend) {
+TEST(HostBackend, BandedZdropRunMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(802, 30, 100, 140);
   batch.default_band = 16;
-  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}, 0, /*zdrop=*/20};
-  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}, 0, /*zdrop=*/20};
-  auto want = scalar.run(batch, 0);
+  HostBackend simd{align::ScoringScheme{}, 1, 0, /*zdrop=*/20};
+  align::BatchTiming want;
+  const auto want_results =
+      align::align_batch(batch, align::ScoringScheme{}, &want, 0, /*zdrop=*/20);
   auto got = simd.run(batch, 0);
-  EXPECT_EQ(got.results, want.results);
+  EXPECT_EQ(got.results, want_results);
   EXPECT_EQ(got.cells, want.cells);
 }
 
-TEST(HostBackend, SimdTracebackPhaseMatchesScalarBackend) {
+TEST(HostBackend, TracebackPhaseMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(803, 20, 90, 130);
-  HostBackend scalar{align::ScoringScheme{}, {LaneKind::kScalar}};
-  HostBackend simd{align::ScoringScheme{}, {LaneKind::kSimd}};
+  HostBackend simd{align::ScoringScheme{}, 1};
   auto score = simd.run(batch, 0);
-  auto want = scalar.run_traceback(batch, score.results, TracebackSettings{}, 0);
   auto got = simd.run_traceback(batch, score.results, TracebackSettings{}, 0);
-  EXPECT_EQ(got.traced, want.traced);
-  EXPECT_EQ(got.cells, want.cells);
+  ASSERT_EQ(got.traced.size(), batch.size());
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (score.results[i].score <= 0) {
+      EXPECT_EQ(got.traced[i], align::TracedAlignment{}) << "pair " << i;
+      continue;
+    }
+    auto want = align::banded_traceback(batch.refs[i], batch.queries[i], align::ScoringScheme{});
+    EXPECT_EQ(got.traced[i], want.traced) << "pair " << i;
+    EXPECT_EQ(got.traced[i].end, score.results[i]) << "pair " << i;
+    cells += want.stats.cells();
+  }
+  EXPECT_EQ(got.cells, cells);
 }
 
-TEST(HostBackend, CalibratedLaneWeightOrdersLanes) {
-  const double speedup = simd_lane_speedup();
-  EXPECT_GE(speedup, 1.0);
-  EXPECT_LE(speedup, 64.0);
-
-  HostBackend mixed{align::ScoringScheme{}, {LaneKind::kSimd, LaneKind::kScalar},
-                    /*threads_total=*/2};
-  EXPECT_EQ(mixed.lanes(), 2);
-  EXPECT_EQ(mixed.name(), "simd+cpu");
-  EXPECT_EQ(mixed.lane_kind(0), LaneKind::kSimd);
-  EXPECT_EQ(mixed.lane_kind(1), LaneKind::kScalar);
-  // Same thread budget per lane: the SIMD lane's weight is exactly the
-  // calibrated engine ratio times the scalar lane's.
-  EXPECT_DOUBLE_EQ(mixed.lane_weight(1), 1.0);
-  EXPECT_DOUBLE_EQ(mixed.lane_weight(0), speedup);
-  EXPECT_GE(mixed.lane_weight(0), mixed.lane_weight(1));
-}
-
-TEST(MakeBackend, RoutesHostDeviceStrings) {
+TEST(MakeBackend, HostBranchBuildsCpuLanesWhateverTheDevice) {
   AlignerOptions opts;  // Backend::kCpu, device "rtx3090"
-  EXPECT_EQ(make_backend(opts)->name(), "cpu");  // GPU preset under kCpu: scalar lanes
-
-  opts.device = "cpu";
-  EXPECT_EQ(make_backend(opts)->name(), "cpu");
-
-  opts.device = "simd";
-  auto simd = make_backend(opts);
-  EXPECT_EQ(simd->name(), "simd");
-  EXPECT_EQ(simd->lanes(), 1);
-
-  opts.device = "simd";
-  opts.cpu_lanes = 3;
-  EXPECT_EQ(make_backend(opts)->lanes(), 3);
-  opts.cpu_lanes = 1;
-
-  opts.device = "simd,cpu";
-  auto mixed = make_backend(opts);
-  EXPECT_EQ(mixed->name(), "simd+cpu");
-  EXPECT_EQ(mixed->lanes(), 2);
-
-  opts.device = "cpu,cpu";
-  auto two_scalar = make_backend(opts);
-  EXPECT_EQ(two_scalar->name(), "cpu");
-  EXPECT_EQ(two_scalar->lanes(), 2);
-
-  opts.device = "simd,rtx3090";
-  EXPECT_THROW(make_backend(opts), std::invalid_argument);
-
-  // No host shape accepts fewer than one lane.
-  opts.cpu_lanes = 0;
-  for (const char* device : {"rtx3090", "cpu", "simd", "simd,cpu"}) {
+  for (const char* device : {"rtx3090", "simd", "cpu", "simd,cpu", "gtx1650,rtx3090"}) {
     opts.device = device;
+    for (int lanes : {1, 3}) {
+      opts.cpu_lanes = lanes;
+      auto backend = make_backend(opts);
+      EXPECT_EQ(backend->name(), "simd") << device;
+      EXPECT_EQ(backend->lanes(), lanes) << device;
+      EXPECT_EQ(lane_weights(*backend), std::vector<double>(static_cast<std::size_t>(lanes), 1.0))
+          << device;
+    }
+    // No host backend accepts fewer than one lane.
+    opts.cpu_lanes = 0;
     EXPECT_THROW(make_backend(opts), std::invalid_argument) << device;
   }
 }
 
-TEST(SimdAligner, EndToEndMatchesCpuAligner) {
+TEST(SimdAligner, EndToEndMatchesScalarOracle) {
   auto batch = saloba::testing::imbalanced_batch(804, 60, 10, 250);
-  AlignerOptions cpu_opts;
-  auto want = Aligner(cpu_opts).align(batch);
-
-  AlignerOptions simd_opts;
-  simd_opts.device = "simd";
-  auto got = Aligner(simd_opts).align(batch);
-  EXPECT_EQ(got.results, want.results);
+  align::BatchTiming want;
+  const auto want_results = align::align_batch(batch, align::ScoringScheme{}, &want);
+  auto got = Aligner(AlignerOptions{}).align(batch);
+  EXPECT_EQ(got.results, want_results);
   EXPECT_EQ(got.cells, want.cells);
 }
 
-TEST(SimdAligner, BandedTracebackMatchesCpuAligner) {
+TEST(SimdAligner, BandedTracebackMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(805, 25, 110, 150);
-  AlignerOptions cpu_opts;
-  cpu_opts.band = 24;
-  cpu_opts.zdrop = 60;
-  cpu_opts.traceback = true;
-  auto want = Aligner(cpu_opts).align(batch);
+  AlignerOptions opts;
+  opts.band = 24;
+  opts.zdrop = 60;
+  opts.traceback = true;
+  auto got = Aligner(opts).align(batch);
 
-  AlignerOptions simd_opts = cpu_opts;
-  simd_opts.device = "simd";
-  auto got = Aligner(simd_opts).align(batch);
-  EXPECT_EQ(got.results, want.results);
-  EXPECT_EQ(got.traced, want.traced);
-}
-
-TEST(SimdAligner, MixedLanesScheduleBitIdentical) {
-  auto batch = saloba::testing::imbalanced_batch(806, 50, 20, 280);
-  AlignerOptions cpu_opts;
-  auto want = Aligner(cpu_opts).align(batch);
-
-  AlignerOptions mixed;
-  mixed.device = "simd,cpu";
-  mixed.cpu_threads = 2;
-  mixed.max_shard_pairs = 8;  // force several shards across both lanes
-  auto got = Aligner(mixed).align(batch);
-  EXPECT_EQ(got.results, want.results);
-  EXPECT_EQ(got.schedule.lanes, 2);
-  ASSERT_EQ(got.schedule.lane_weights.size(), 2u);
-  // Weighted LPT saw the calibration: the SIMD lane outweighs the scalar one.
-  EXPECT_GE(got.schedule.lane_weights[0], got.schedule.lane_weights[1]);
+  const align::ScoringScheme scoring;
+  seq::PairBatch banded = batch;
+  materialize_bands(banded, opts.band_policy());
+  EXPECT_EQ(got.results, align::align_batch(banded, scoring, nullptr, 0, opts.zdrop));
+  ASSERT_EQ(got.traced.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (got.results[i].score <= 0) continue;
+    align::TracebackParams params;
+    params.band = banded.band_of(i);
+    params.zdrop = opts.zdrop;
+    auto want = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
+    EXPECT_EQ(got.traced[i], want.traced) << "pair " << i;
+  }
 }
 
 }  // namespace

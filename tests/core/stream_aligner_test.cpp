@@ -364,8 +364,8 @@ TEST(StreamAligner, StreamedLongReadRouteBitIdenticalToOneShot) {
 
 TEST(StreamAligner, ReportedLaneWeightsAreTheWorkersBackends) {
   // Two align workers split a 4-thread host budget, so every chunk runs on
-  // a 2-thread lane; the stream must report those weights, not the ones of
-  // a full-budget backend no chunk ran on.
+  // a 2-thread replica lane; the stream reports the weights of the backends
+  // the chunks ran on. Host lanes are uniform, so those are the base 1.0.
   auto batch = saloba::testing::related_batch(813, 24, 60, 80);
   AlignerOptions opts;
   opts.cpu_threads = 4;
@@ -380,7 +380,7 @@ TEST(StreamAligner, ReportedLaneWeightsAreTheWorkersBackends) {
     chunk_weights.push_back(out.schedule.lane_weights);
   });
   ASSERT_FALSE(chunk_weights.empty());
-  EXPECT_EQ(chunk_weights.front(), std::vector<double>{2.0});
+  EXPECT_EQ(chunk_weights.front(), std::vector<double>{1.0});
   for (const auto& weights : chunk_weights) EXPECT_EQ(weights, chunk_weights.front());
   EXPECT_EQ(streamer.align_streamed(batch).schedule.lane_weights, chunk_weights.front());
   EXPECT_EQ(lane_weights(streamer.backend()), chunk_weights.front());

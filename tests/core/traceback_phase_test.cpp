@@ -129,7 +129,7 @@ TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   batch.add({0, 1, 2, 3}, {0, 1, 2, 3});  // perfect match
   batch.add(std::vector<seq::BaseCode>(8, 0), std::vector<seq::BaseCode>(8, 1));  // hopeless
   align::ScoringScheme scoring;
-  HostBackend backend(scoring, {HostBackend::LaneKind::kScalar});
+  HostBackend backend(scoring, 1);
   auto results = backend.run(batch, 0).results;
   ASSERT_EQ(results[1].score, 0);
   auto tb = backend.run_traceback(batch, results, TracebackSettings{}, 0);

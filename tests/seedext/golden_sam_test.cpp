@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "align/batch.hpp"
 #include "align/traceback.hpp"
 #include "core/aligner.hpp"
 #include "seedext/sam_output.hpp"
@@ -201,15 +202,16 @@ TEST(GoldenSam, BandedTracedExtenderStillMatchesLegacy) {
 }
 
 TEST(GoldenSam, SimdBackendPipelineMatchesLegacyByteForByte) {
-  // The inter-sequence SIMD backend as the extension engine: batched
-  // two-phase pipeline through device="simd" must reproduce the scalar
-  // CPU golden SAM byte for byte (scores, endpoints, CIGARs, positions).
+  // The inter-sequence SIMD backend as the extension engine: the batched
+  // two-phase pipeline must reproduce the golden SAM scored by the scalar
+  // oracle (align::align_batch) byte for byte (scores, endpoints, CIGARs,
+  // positions).
   Fixture f;
-  core::Aligner cpu{core::AlignerOptions{}};
-  std::string want = f.golden(cpu.batch_extender());
+  std::string want = f.golden([](const seq::PairBatch& batch) {
+    return align::align_batch(batch, align::ScoringScheme{});
+  });
 
   core::AlignerOptions opts;
-  opts.device = "simd";
   opts.traceback = true;
   core::Aligner simd(opts);
   auto mappings =
