@@ -8,6 +8,7 @@
 #include "align/simd_vec.hpp"
 #include "align/sw_banded.hpp"
 #include "align/sw_striped.hpp"
+#include "align/traceback_engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -18,6 +19,9 @@ namespace detail {
 
 void run_pass_u8_generic(const PassRequest& req) { run_pass<OpsU8Generic>(req); }
 void run_pass_u16_generic(const PassRequest& req) { run_pass<OpsU16Generic>(req); }
+void run_trace_pass_generic(const TracePassRequest& req) {
+  run_trace_pass<OpsU16Generic>(req);
+}
 
 }  // namespace detail
 
@@ -170,6 +174,93 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
     local.wall_ms = timer.millis();
     *stats = local;
   }
+  return results;
+}
+
+std::vector<TracebackResult> traceback_batch(const seq::PairBatch& batch,
+                                             std::span<const AlignmentResult> ends,
+                                             const ScoringScheme& scoring, Score zdrop,
+                                             int threads) {
+  SALOBA_CHECK(scoring.valid());
+  SALOBA_CHECK_MSG(ends.size() == batch.size(), "traceback got " << ends.size()
+                                                    << " score results for a " << batch.size()
+                                                    << "-pair batch");
+  std::vector<TracebackResult> results(batch.size());
+
+  // Route: a zero score is the empty alignment and needs no trace; pairs
+  // too long for 16-bit positions, scoring at the 16-bit ceiling, or whose
+  // code rectangle alone would overflow a cohort buffer take the scalar
+  // engine; the rest are traced in cohorts.
+  std::vector<std::size_t> cohort_pairs, scalar_pairs;
+  std::vector<detail::TraceLane> lanes(batch.size());
+  for (std::size_t p = 0; p < batch.size(); ++p) {
+    if (ends[p].score <= 0) continue;
+    const std::size_t len = std::max(batch.refs[p].size(), batch.queries[p].size());
+    if (len > detail::kMaxSimdLen || ends[p].score >= OpsU16Generic::kSatMax) {
+      scalar_pairs.push_back(p);
+      continue;
+    }
+    lanes[p] = detail::trace_lane(batch, p, ends[p]);
+    if (lanes[p].cells() * detail::kTraceLanes > detail::kTraceCodeBytes) {
+      scalar_pairs.push_back(p);
+    } else {
+      cohort_pairs.push_back(p);
+    }
+  }
+
+  // Cohorts: tallest rectangles first so lanes sharing a cohort have similar
+  // extents, closing a cohort when it is full or its code hull would pass
+  // the cap.
+  std::stable_sort(cohort_pairs.begin(), cohort_pairs.end(), [&](std::size_t a, std::size_t b) {
+    if (lanes[a].rows != lanes[b].rows) return lanes[a].rows > lanes[b].rows;
+    return lanes[a].cols > lanes[b].cols;
+  });
+  std::vector<std::size_t> cohort_begin{0};
+  detail::CodeRows hull;
+  for (std::size_t k = 0; k < cohort_pairs.size(); ++k) {
+    const detail::TraceLane& lane = lanes[cohort_pairs[k]];
+    detail::CodeRows grown = hull;
+    grown.add(lane);
+    if (k - cohort_begin.back() == detail::kTraceLanes ||
+        grown.columns * detail::kTraceLanes > detail::kTraceCodeBytes) {
+      cohort_begin.push_back(k);
+      grown = {};
+      grown.add(lane);
+    }
+    hull = std::move(grown);
+  }
+  cohort_begin.push_back(cohort_pairs.size());
+
+  if (!cohort_pairs.empty()) {
+    detail::TracePassRequest req;
+    req.batch = &batch;
+    req.scoring = &scoring;
+    req.ends = ends;
+    req.pairs = cohort_pairs;
+    req.cohort_begin = cohort_begin;
+    req.results = &results;
+    req.threads = threads;
+#if defined(SALOBA_SIMD_AVX2)
+    if (cpu_supports_avx2()) {
+      detail::run_trace_pass_avx2(req);
+    } else {
+      detail::run_trace_pass_generic(req);
+    }
+#else
+    detail::run_trace_pass_generic(req);
+#endif
+  }
+
+  util::parallel_for_indexed(
+      scalar_pairs.size(),
+      [&](std::size_t k) {
+        const std::size_t p = scalar_pairs[k];
+        TracebackParams params;
+        params.band = batch.band_of(p);
+        params.zdrop = zdrop;
+        results[p] = banded_traceback(batch.refs[p], batch.queries[p], scoring, params);
+      },
+      threads);
   return results;
 }
 

@@ -21,10 +21,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "align/alignment_result.hpp"
 #include "align/scoring.hpp"
+#include "align/traceback_engine.hpp"
 #include "seq/sequence.hpp"
 
 namespace saloba::align::simd {
@@ -59,5 +61,22 @@ std::vector<AlignmentResult> align_batch(const seq::PairBatch& batch,
                                          const ScoringScheme& scoring,
                                          EngineStats* stats = nullptr, int threads = 0,
                                          Score zdrop = 0);
+
+/// Traceback phase of a batch whose score pass produced `ends` (size ==
+/// batch.size()): one TracebackResult per pair, input order; a pair with a
+/// zero score keeps the empty result. Pairs are traced in lockstep cohorts
+/// of 16, one pair per 16-bit lane, each over its own endpoint rectangle
+/// and band, storing a direction code per cell and walking it with
+/// align::walk_codes. A pair stays on align::banded_traceback (with its band
+/// and `zdrop`) when it is longer than the 16-bit position guard, its score
+/// reaches the 16-bit ceiling, or its codes alone would pass a cohort's
+/// 2 MiB code buffer (its stats are then banded_traceback's; a cohort pair
+/// reports no replay cells). For every `ends` that a conformant score pass
+/// (with this `zdrop`) produced, each trace is bit-identical to
+/// banded_traceback's. `threads` caps host threads (0 = default team).
+std::vector<TracebackResult> traceback_batch(const seq::PairBatch& batch,
+                                             std::span<const AlignmentResult> ends,
+                                             const ScoringScheme& scoring, Score zdrop = 0,
+                                             int threads = 0);
 
 }  // namespace saloba::align::simd

@@ -1,10 +1,10 @@
-// AVX2 implementations of the Ops vocabulary (simd_vec.hpp) and the two
-// intrinsic pass entry points. This is the only translation unit compiled
-// with -mavx2 (CMake per-source flag, gated by SALOBA_ENABLE_AVX2 and a
-// compiler check); callers reach it only after align::simd::cpu_supports_avx2
-// passes at runtime. Keep this TU lean: with -mavx2 every function body here
-// uses VEX encodings, so nothing defined here may be reachable from the
-// generic path.
+// AVX2 implementations of the Ops vocabulary (simd_vec.hpp) and the
+// intrinsic pass entry points (two score widths and the traced pass). This
+// is the only translation unit compiled with -mavx2 (CMake per-source flag,
+// gated by SALOBA_ENABLE_AVX2 and a compiler check); callers reach it only
+// after align::simd::cpu_supports_avx2 passes at runtime. Keep this TU
+// lean: with -mavx2 every function body here uses VEX encodings, so nothing
+// defined here may be reachable from the generic path.
 #if defined(SALOBA_SIMD_AVX2)
 
 #include <immintrin.h>
@@ -28,6 +28,9 @@ struct OpsU8Avx2 {
 
   static Vec zero() { return _mm256_setzero_si256(); }
   static Vec splat(Elem s) { return _mm256_set1_epi8(static_cast<char>(s)); }
+  static Vec load(const Elem* p) {
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
+  }
   static Vec load_bases(const std::uint8_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
@@ -91,6 +94,9 @@ struct OpsU16Avx2 {
 
   static Vec zero() { return _mm256_setzero_si256(); }
   static Vec splat(Elem s) { return _mm256_set1_epi16(static_cast<short>(s)); }
+  static Vec load(const Elem* p) {
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
+  }
   static Vec load_bases(const std::uint8_t* p) {  // widening: 16 codes -> 16 lanes
     return _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
@@ -114,6 +120,12 @@ struct OpsU16Avx2 {
     alignas(32) std::uint16_t tmp[kLanes];
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(tmp), m);
     for (int k = 0; k < kLanes; ++k) dst[k] = tmp[k] ? 1 : 0;
+  }
+  static void store_codes(std::uint8_t* dst, Vec v) {
+    // Codes fit a byte, so the unsigned-saturating pack is exact; it packs
+    // per 128-bit half, and qwords 0 and 2 hold lanes 0-7 and 8-15.
+    const __m256i packed = _mm256_permute4x64_epi64(_mm256_packus_epi16(v, v), 0x08);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm256_castsi256_si128(packed));
   }
 
   static IVec izero() { return _mm256_setzero_si256(); }
@@ -139,6 +151,7 @@ namespace detail {
 
 void run_pass_u8_avx2(const PassRequest& req) { run_pass<OpsU8Avx2>(req); }
 void run_pass_u16_avx2(const PassRequest& req) { run_pass<OpsU16Avx2>(req); }
+void run_trace_pass_avx2(const TracePassRequest& req) { run_trace_pass<OpsU16Avx2>(req); }
 
 }  // namespace detail
 }  // namespace saloba::align::simd

@@ -20,9 +20,10 @@
 //                   bookkeeping (ref_end/query_end) lives in the index
 //                   domain because positions do not fit a DP lane.
 //   Vec / IVec      the DP-domain and index-domain register types.
-//   zero/splat/load_bases/adds/subs/maxu/cmpeq/vor/blend/vand/andnot/
-//   cmpgt/any/store/store_mask and the i*-prefixed index-domain twins —
-//   see OpsGeneric below for the reference semantics of each.
+//   zero/splat/load/load_bases/adds/subs/maxu/cmpeq/vor/blend/vand/andnot/
+//   cmpgt/any/store/store_mask/store_codes and the i*-prefixed
+//   index-domain twins — see OpsGeneric below for the reference semantics
+//   of each.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +55,12 @@ struct OpsGeneric {
   static Vec splat(Elem s) {
     Vec o;
     for (auto& l : o.v) l = s;
+    return o;
+  }
+  /// Load of kLanes lanes from a 32-byte-aligned buffer.
+  static Vec load(const Elem* p) {
+    Vec o;
+    for (int k = 0; k < kLanes; ++k) o.v[k] = p[k];
     return o;
   }
   /// Widening load: kLanes base codes (one byte each) into DP lanes.
@@ -128,6 +135,10 @@ struct OpsGeneric {
   /// readout for overflow / z-drop decisions.
   static void store_mask(std::uint8_t* dst, const Vec& m) {
     for (int k = 0; k < kLanes; ++k) dst[k] = m.v[k] ? 1 : 0;
+  }
+  /// The low byte of every lane, kLanes bytes — traceback direction codes.
+  static void store_codes(std::uint8_t* dst, const Vec& v) {
+    for (int k = 0; k < kLanes; ++k) dst[k] = static_cast<std::uint8_t>(v.v[k]);
   }
 
   // --- index domain (uint16 lanes) ---------------------------------------

@@ -5,8 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "align/traceback.hpp"
-#include "util/check.hpp"
 
 namespace saloba::align {
 namespace {
@@ -24,31 +22,16 @@ struct Checkpoint {
   std::vector<Score> f;
 };
 
-/// One re-derived block of rows for the backward walk: H/E/F of every
-/// in-band cell of rows [first_row, first_row + rows.size()) (1-based DP
-/// rows), plus H of the row above the block (the snapshot row) for the
-/// walk's cross-row reads — the walk only ever reads H across rows.
-struct Block {
-  struct Row {
-    std::size_t col_lo = 1;  ///< first 1-based column stored
-    std::vector<Score> h, e, f;
-  };
-  std::size_t first_row = 1;  ///< 1-based DP row of rows.front()
-  std::vector<Row> rows;
-  std::size_t above_lo = 0;  ///< first h_row index of h_above
-  std::vector<Score> h_above;
-
-  bool contains(std::size_t row) const {
-    return row >= first_row && row < first_row + rows.size();
-  }
-};
-
 struct Engine {
+  Engine(std::span<const seq::BaseCode> ref_, std::span<const seq::BaseCode> query_,
+         const ScoringScheme& scoring_, std::size_t band_, std::size_t chunk_)
+      : ref(ref_), query(query_), scoring(scoring_), band(band_), chunk(chunk_) {}
+
   std::span<const seq::BaseCode> ref;
   std::span<const seq::BaseCode> query;
   const ScoringScheme& scoring;
-  std::size_t band;        ///< effective band (>= 1, covers the table if unbanded)
-  std::size_t chunk;       ///< rows per checkpoint block
+  std::size_t band;   ///< effective band (>= 1, covers the table if unbanded)
+  std::size_t chunk;  ///< rows per checkpoint block
   std::vector<Checkpoint> checkpoints;
   TracebackStats stats;
 
@@ -87,6 +70,14 @@ struct Engine {
   std::size_t dirty_lo = 1, dirty_hi = 0;  ///< columns the last restore+sweep touched
   bool walk_ready = false;
 
+  /// The re-derived block: codes of 0-based rows [block_first, block_end),
+  /// row r's band window starting at column code_lo[r - block_first] and
+  /// stored from codes[code_off[r - block_first]] on. One flat buffer,
+  /// reused by every block of the pair.
+  std::size_t block_first = 0, block_end = 0;
+  std::vector<std::size_t> code_lo, code_off;
+  std::vector<std::uint8_t> codes;
+
   /// Rebuilds the row state "after `block_index`'s snapshot row" into
   /// walk_h/walk_f. Every write of the restore and of the subsequent block
   /// sweep (rows [first0, end0)) lands in [checkpoint col_lo, end0 + band],
@@ -113,28 +104,35 @@ struct Engine {
   }
 
   /// Forward sweep over 0-based rows [row_begin, row_end) from the given row
-  /// state — the exact loop of align::smith_waterman_banded. `capture`
-  /// receives every computed cell when a block is being re-derived; `cells`
-  /// counts the work. Returns the best endpoint seen (callers that only
-  /// replay ignore it).
-  template <typename Capture>
+  /// state — the exact loop of align::smith_waterman_banded. kRecord appends
+  /// every row's band window start and cell codes to the block buffers;
+  /// `cells` counts the work. `best`, when given, tracks the endpoint.
+  template <bool kRecord>
   void sweep(std::size_t row_begin, std::size_t row_end, std::vector<Score>& h_row,
              std::vector<Score>& f_col, std::size_t& cells, AlignmentResult* best,
-             Score* row_best_out, const Capture& capture) const {
+             Score* row_best_out) {
+    const Score alpha = scoring.alpha();
+    const Score beta = scoring.beta();
     for (std::size_t i = row_begin; i < row_end; ++i) {
       std::size_t j_lo = (i >= band) ? i - band : 0;
       std::size_t j_hi = std::min(m() - 1, i + band);
-      if (j_lo > j_hi) continue;
+      if constexpr (kRecord) code_lo.push_back(j_lo);
+      if (j_lo > j_hi) {
+        if constexpr (kRecord) code_off.push_back(codes.size());
+        continue;
+      }
 
       Score h_diag = (j_lo == 0) ? 0 : h_row[j_lo];
       Score h_left = 0;
       Score e = kNegInf;
       Score row_best = kNegInf;
       for (std::size_t j = j_lo; j <= j_hi; ++j) {
-        e = std::max(h_left - scoring.alpha(), e - scoring.beta());
-        Score f = std::max(h_row[j + 1] - scoring.alpha(), f_col[j + 1] - scoring.beta());
-        Score h =
-            std::max({Score{0}, h_diag + scoring.substitution(ref[i], query[j]), e, f});
+        const Score e_open = h_left - alpha;
+        e = std::max(e_open, e - beta);
+        const Score f_open = h_row[j + 1] - alpha;
+        const Score f = std::max(f_open, f_col[j + 1] - beta);
+        const Score diag = h_diag + scoring.substitution(ref[i], query[j]);
+        const Score h = std::max({Score{0}, diag, e, f});
 
         h_diag = h_row[j + 1];
         h_row[j + 1] = h;
@@ -142,80 +140,51 @@ struct Engine {
         h_left = h;
         ++cells;
         row_best = std::max(row_best, h);
-        capture(i, j, h, e, f);
+        if constexpr (kRecord) {
+          using namespace trace_code;
+          const std::uint8_t source = h == 0      ? kStop
+                                      : h == diag ? kDiag
+                                      : h == e    ? kFromE
+                                                  : kFromF;
+          codes.push_back(static_cast<std::uint8_t>(source | (e == e_open ? kEOpen : 0) |
+                                                    (f == f_open ? kFOpen : 0)));
+        }
 
         if (best && h > best->score) {
           *best = AlignmentResult{h, static_cast<std::int32_t>(i),
                                   static_cast<std::int32_t>(j)};
         }
       }
+      if constexpr (kRecord) code_off.push_back(codes.size());
       if (row_best_out) *row_best_out = row_best;
     }
   }
 
-  /// Re-derives the block containing 1-based DP row `row` from its snapshot.
-  Block rederive(std::size_t row) {
-    SALOBA_CHECK_MSG(row >= 1 && row <= n(), "traceback walk left the table");
-    const std::size_t b = (row - 1) / chunk;
-    const std::size_t first0 = b * chunk;                    // 0-based first row
-    const std::size_t end0 = std::min(n(), first0 + chunk);  // 0-based past-the-end
-
-    restore(b, end0);
-
-    Block blk;
-    blk.first_row = first0 + 1;
-    blk.rows.reserve(end0 - first0);
-    // H of the snapshot row, for the walk's H(first_row - 1, ·) reads.
-    blk.above_lo = checkpoints[b].col_lo;
-    blk.h_above = checkpoints[b].h;
-
-    std::size_t current = static_cast<std::size_t>(-1);
-    sweep(first0, end0, walk_h, walk_f, stats.replay_cells, nullptr, nullptr,
-          [&](std::size_t i, std::size_t j, Score h, Score e, Score f) {
-            if (i != current) {
-              current = i;
-              blk.rows.emplace_back();
-              blk.rows.back().col_lo = j + 1;  // 1-based first in-band column
-            }
-            Block::Row& r = blk.rows.back();
-            r.h.push_back(h);
-            r.e.push_back(e);
-            r.f.push_back(f);
-          });
-    // Rows whose band window is empty (past m - 1 + band) hold no cells;
-    // they can only trail the block, and the walk never visits them.
-    while (blk.first_row + blk.rows.size() <= row) blk.rows.emplace_back();
-    stats.traffic_bytes += 3 * stats_rows_bytes(blk);
-    return blk;
+  /// Re-derives the codes of the block containing 0-based row `row` from
+  /// its snapshot.
+  void rederive(std::size_t row) {
+    SALOBA_CHECK_MSG(row < n(), "traceback walk left the table");
+    const std::size_t b = row / chunk;
+    block_first = b * chunk;
+    block_end = std::min(n(), block_first + chunk);
+    restore(b, block_end);
+    code_lo.clear();
+    code_off.assign(1, 0);
+    codes.clear();
+    sweep<true>(block_first, block_end, walk_h, walk_f, stats.replay_cells, nullptr, nullptr);
+    stats.traffic_bytes += codes.size();
   }
 
-  static std::size_t stats_rows_bytes(const Block& blk) {
-    std::size_t cells = 0;
-    for (const Block::Row& r : blk.rows) cells += r.h.size();
-    return cells * sizeof(Score);
+  /// Code of 0-based cell (row, col), re-deriving the block above once the
+  /// walk leaves the current one.
+  std::uint8_t code_at(std::size_t row, std::size_t col) {
+    if (row < block_first || row >= block_end) rederive(row);
+    const std::size_t r = row - block_first;
+    SALOBA_CHECK_MSG(col >= code_lo[r] && col - code_lo[r] < code_off[r + 1] - code_off[r],
+                     "traceback walk left the band");
+    return codes[code_off[r] + col - code_lo[r]];
   }
 };
-
-/// Windowed lookups with masked-DP out-of-band semantics.
-Score h_at(const Block& blk, std::size_t row, std::size_t col) {
-  if (row == 0 || col == 0) return 0;
-  if (row + 1 == blk.first_row) {  // the snapshot row above the block
-    if (col < blk.above_lo || col >= blk.above_lo + blk.h_above.size()) return 0;
-    return blk.h_above[col - blk.above_lo];
-  }
-  SALOBA_CHECK_MSG(blk.contains(row), "traceback block does not cover row");
-  const Block::Row& r = blk.rows[row - blk.first_row];
-  if (col < r.col_lo || col >= r.col_lo + r.h.size()) return 0;
-  return r.h[col - r.col_lo];
-}
-
-Score ef_at(const Block& blk, std::size_t row, std::size_t col, bool want_e) {
-  if (row == 0 || col == 0) return kNegInf;
-  SALOBA_CHECK_MSG(blk.contains(row), "traceback block does not cover row");
-  const Block::Row& r = blk.rows[row - blk.first_row];
-  if (col < r.col_lo || col >= r.col_lo + r.h.size()) return kNegInf;
-  return want_e ? r.e[col - r.col_lo] : r.f[col - r.col_lo];
-}
 
 }  // namespace
 
@@ -229,14 +198,11 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
   const std::size_t m = query.size();
   if (n == 0 || m == 0) return out;
 
-  Engine eng{ref, query, scoring,
-             params.band != 0 ? params.band : std::max(n, m),
+  Engine eng(ref, query, scoring, params.band != 0 ? params.band : std::max(n, m),
              params.checkpoint_rows != 0
                  ? params.checkpoint_rows
                  : std::max<std::size_t>(
-                       8, static_cast<std::size_t>(std::sqrt(static_cast<double>(n)))),
-             {},
-             {}};
+                       8, static_cast<std::size_t>(std::sqrt(static_cast<double>(n)))));
 
   // --- Phase A: checkpointed forward sweep (smith_waterman_banded's loop,
   // z-drop rule included, snapshotting the row state every `chunk` rows).
@@ -246,8 +212,7 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
   for (std::size_t i = 0; i < n; ++i) {
     if (i % eng.chunk == 0) eng.snapshot(i, h_row, f_col);
     Score row_best = kNegInf;
-    eng.sweep(i, i + 1, h_row, f_col, eng.stats.forward_cells, &best, &row_best,
-              [](std::size_t, std::size_t, Score, Score, Score) {});
+    eng.sweep<false>(i, i + 1, h_row, f_col, eng.stats.forward_cells, &best, &row_best);
     if (params.zdrop > 0 && i < last_row && row_best < best.score - params.zdrop &&
         row_best != kNegInf) {
       eng.stats.zdropped = true;
@@ -261,52 +226,11 @@ TracebackResult banded_traceback(std::span<const seq::BaseCode> ref,
     return out;
   }
 
-  // --- Phase B: backward walk, re-deriving one block at a time. The walk is
-  // the full-matrix state machine verbatim (M before E before F), reading
-  // H/E/F through the block's band window; out-of-band reads resolve to the
-  // masked-DP neutral values, so banded paths can never leave the band.
-  enum class State { kH, kE, kF };
-  State state = State::kH;
-  std::string ops;
-  std::size_t i = static_cast<std::size_t>(best.ref_end) + 1;
-  std::size_t j = static_cast<std::size_t>(best.query_end) + 1;
-  Block blk = eng.rederive(i);
-  const Score alpha = scoring.alpha();
-  while (i > 0 && j > 0) {
-    if (i < blk.first_row) blk = eng.rederive(i);
-    if (state == State::kH) {
-      Score v = h_at(blk, i, j);
-      if (v == 0) break;
-      Score s = h_at(blk, i - 1, j - 1) + scoring.substitution(ref[i - 1], query[j - 1]);
-      if (v == s) {
-        ops += 'M';
-        --i;
-        --j;
-      } else if (v == ef_at(blk, i, j, /*want_e=*/true)) {
-        state = State::kE;
-      } else {
-        SALOBA_CHECK_MSG(v == ef_at(blk, i, j, /*want_e=*/false),
-                         "traceback: H cell matches no predecessor");
-        state = State::kF;
-      }
-    } else if (state == State::kE) {
-      ops += 'I';
-      bool opened = ef_at(blk, i, j, /*want_e=*/true) == h_at(blk, i, j - 1) - alpha;
-      --j;
-      if (opened) state = State::kH;
-    } else {  // State::kF
-      ops += 'D';
-      bool opened = ef_at(blk, i, j, /*want_e=*/false) == h_at(blk, i - 1, j) - alpha;
-      --i;
-      if (opened) state = State::kH;
-    }
-  }
-
-  out.traced.ref_start = static_cast<std::int32_t>(i);
-  out.traced.query_start = static_cast<std::int32_t>(j);
-  std::reverse(ops.begin(), ops.end());
-  out.traced.cigar = compress_cigar(ops);
-  eng.stats.traffic_bytes += ops.size() * 3 * sizeof(Score);  // the walk's reads
+  // --- Phase B: the shared walk over re-derived codes, one block at a
+  // time. Every cell it reads is in band (a walk from an in-band H > 0 cell
+  // only ever steps to in-band cells), so banded paths never leave the band.
+  eng.stats.traffic_bytes +=
+      walk_codes(out.traced, [&](std::size_t r, std::size_t c) { return eng.code_at(r, c); });
   out.stats = eng.stats;
   return out;
 }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "align/simd_engine.hpp"
-#include "align/traceback_engine.hpp"
 #include "align/xdrop_wavefront.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device_registry.hpp"
@@ -74,9 +73,10 @@ WavefrontPass wavefront_pass(const seq::PairBatch& batch, const align::ScoringSc
   return pass;
 }
 
-/// Shared traceback-phase body of both backends: the linear-memory engine
-/// over every pair with a non-zero score-pass result, host-parallel, output
-/// order matching input order. `zdrop` mirrors the backend's score pass so
+/// Shared traceback-phase body of both backends: the SIMD cohort engine
+/// over every pair with a non-zero score-pass result (long, high-scoring or
+/// oversized pairs on the linear-memory engine), output order matching
+/// input order. `zdrop` mirrors the backend's score pass for those pairs, so
 /// endpoints stay bit-identical.
 struct EnginePhase {
   std::vector<align::TracedAlignment> traced;
@@ -86,34 +86,15 @@ struct EnginePhase {
 
 EnginePhase trace_batch(const seq::PairBatch& batch,
                         std::span<const align::AlignmentResult> results,
-                        const align::ScoringScheme& scoring, align::Score zdrop,
-                        const TracebackSettings& settings, int threads) {
-  SALOBA_CHECK_MSG(results.size() == batch.size(),
-                   "traceback got " << results.size() << " score results for a "
-                                    << batch.size() << "-pair batch");
+                        const align::ScoringScheme& scoring, align::Score zdrop, int threads) {
+  std::vector<align::TracebackResult> traces =
+      align::simd::traceback_batch(batch, results, scoring, zdrop, threads);
   EnginePhase out;
-  out.traced.resize(batch.size());
-  std::vector<std::size_t> cells(batch.size(), 0);
-  std::vector<std::size_t> bytes(batch.size(), 0);
-  util::parallel_for_indexed(
-      batch.size(),
-      [&](std::size_t i) {
-        // A zero score pass means the empty local alignment — the engine
-        // would re-derive exactly that, so skip the sweep.
-        if (results[i].score <= 0) return;
-        align::TracebackParams params;
-        params.band = batch.band_of(i);
-        params.zdrop = zdrop;
-        params.checkpoint_rows = settings.checkpoint_rows;
-        auto r = align::banded_traceback(batch.refs[i], batch.queries[i], scoring, params);
-        out.traced[i] = std::move(r.traced);
-        cells[i] = r.stats.cells();
-        bytes[i] = r.stats.traffic_bytes;
-      },
-      threads);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out.cells += cells[i];
-    out.bytes += bytes[i];
+  out.traced.reserve(traces.size());
+  for (align::TracebackResult& t : traces) {
+    out.cells += t.stats.cells();
+    out.bytes += t.stats.traffic_bytes;
+    out.traced.push_back(std::move(t.traced));
   }
   return out;
 }
@@ -185,11 +166,10 @@ BackendOutput HostBackend::run(const seq::PairBatch& batch, int lane) {
 
 TracebackOutput HostBackend::run_traceback(const seq::PairBatch& batch,
                                            std::span<const align::AlignmentResult> results,
-                                           const TracebackSettings& settings, int lane) {
+                                           int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   util::Timer timer;
-  EnginePhase phase =
-      trace_batch(batch, results, scoring_, zdrop_, settings, threads_per_lane_);
+  EnginePhase phase = trace_batch(batch, results, scoring_, zdrop_, threads_per_lane_);
   TracebackOutput out;
   out.traced = std::move(phase.traced);
   out.cells = phase.cells;
@@ -274,13 +254,11 @@ BackendOutput SimulatedGpuBackend::run(const seq::PairBatch& batch, int lane) {
 }
 
 TracebackOutput SimulatedGpuBackend::run_traceback(
-    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results,
-    const TracebackSettings& settings, int lane) {
+    const seq::PairBatch& batch, std::span<const align::AlignmentResult> results, int lane) {
   SALOBA_CHECK_MSG(lane >= 0 && lane < lanes(), "lane " << lane << " out of range");
   // Functional pass on the host (no zdrop: the kernels apply none, so traced
   // endpoints match the kernels bit-for-bit)...
-  EnginePhase phase = trace_batch(batch, results, scoring_, /*zdrop=*/0, settings,
-                                  /*threads=*/0);
+  EnginePhase phase = trace_batch(batch, results, scoring_, /*zdrop=*/0, /*threads=*/0);
   TracebackOutput out;
   out.traced = std::move(phase.traced);
   out.cells = phase.cells;

@@ -45,7 +45,9 @@ struct TracebackOutput {
   /// Wall-clock milliseconds for the host backend; modeled traceback-phase
   /// milliseconds for the simulated backend.
   double time_ms = 0.0;
-  /// Engine cells spent on the phase (forward sweep + backward replay).
+  /// Engine cells spent on the phase: per pair, its endpoint rectangle's
+  /// in-band cells on the cohort engine, forward sweep + block replay on
+  /// align::banded_traceback (align::TracebackStats).
   std::size_t cells = 0;
   /// Simulated backend only: the phase's counters and modeled time
   /// (WarpCounters::traceback_cells/traceback_bytes,
@@ -85,14 +87,6 @@ struct ChainingOutput {
   std::optional<gpusim::TimeBreakdown> time_breakdown;
 };
 
-/// Engine knobs the scheduler threads into run_traceback.
-struct TracebackSettings {
-  /// Rows between row-state snapshots (0 = engine default, ~sqrt(|ref|)).
-  std::size_t checkpoint_rows = 0;
-
-  bool operator==(const TracebackSettings&) const = default;
-};
-
 class AlignBackend {
  public:
   virtual ~AlignBackend() = default;
@@ -115,14 +109,17 @@ class AlignBackend {
   virtual BackendOutput run(const seq::PairBatch& batch, int lane) = 0;
 
   /// Traceback phase for a batch whose score pass produced `results`
-  /// (size == batch.size()): one TracedAlignment per pair through the
-  /// linear-memory engine (align::banded_traceback), honoring the batch's
+  /// (size == batch.size()): one TracedAlignment per pair through the SIMD
+  /// cohort engine (align::simd::traceback_batch, which traces each pair
+  /// over its own endpoint rectangle and keeps long, high-scoring or
+  /// oversized pairs on align::banded_traceback), honoring the batch's
   /// per-pair bands. Pairs with a zero score-pass result are skipped (their
-  /// trace is empty by construction). Endpoints reproduce `results` for any
-  /// score pass that is bit-identical to the CPU reference.
+  /// trace is empty by construction). Traces are bit-identical to
+  /// banded_traceback's for any score pass that is bit-identical to the CPU
+  /// reference.
   virtual TracebackOutput run_traceback(const seq::PairBatch& batch,
                                         std::span<const align::AlignmentResult> results,
-                                        const TracebackSettings& settings, int lane) = 0;
+                                        int lane) = 0;
 
   /// Long-read phase for pairs the scheduler routed (core::LongReadPolicy):
   /// the X-drop wavefront engine with threshold `xdrop` on every pair of
@@ -170,7 +167,7 @@ class HostBackend final : public AlignBackend {
   /// zdrop), so traced endpoints are bit-identical to run()'s results.
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
-                                const TracebackSettings& settings, int lane) override;
+                                int lane) override;
   /// The wavefront engine on this lane's thread share, timed on the wall
   /// clock. A traced run's one wall time is split between the score and
   /// traceback halves by their engine cells (forward sweep vs traceback
@@ -216,7 +213,7 @@ class SimulatedGpuBackend final : public AlignBackend {
   /// WarpCounters::traceback_cells/traceback_bytes).
   TracebackOutput run_traceback(const seq::PairBatch& batch,
                                 std::span<const align::AlignmentResult> results,
-                                const TracebackSettings& settings, int lane) override;
+                                int lane) override;
   /// Functionally runs the wavefront engine on the host (bit-identical to
   /// every other backend), then models each half on the lane's device
   /// (gpusim::estimate_xdrop_time; counters land in

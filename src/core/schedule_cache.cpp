@@ -8,7 +8,7 @@ namespace saloba::core {
 bool same_schedule(const SchedulerOptions& a, const SchedulerOptions& b) {
   return a.max_shard_pairs == b.max_shard_pairs && a.policy == b.policy &&
          a.threads == b.threads && a.band == b.band && a.longread == b.longread &&
-         a.traceback == b.traceback && a.traceback_settings == b.traceback_settings;
+         a.traceback == b.traceback;
 }
 
 void materialize_chunk_bands(seq::PairBatch& chunk, const AlignerOptions& options,

@@ -108,7 +108,7 @@ AlignOutput BatchScheduler::run_single(const seq::PairBatch& batch) {
   finalize_balance(out.schedule);
   if (options_.traceback) {
     TracebackOutput tb =
-        backend_->run_traceback(batch, out.results, options_.traceback_settings, 0);
+        backend_->run_traceback(batch, out.results, 0);
     out.traced = std::move(tb.traced);
     out.traceback_ms = tb.time_ms;
     out.traceback_cells = tb.cells;
@@ -232,8 +232,8 @@ AlignOutput BatchScheduler::run_classic(const seq::PairBatch& batch) {
   // again — no barrier beyond the score pass already settled.
   std::vector<TracebackOutput> traces(shards.size());
   dispatch_by_lane(pool(), lanes, shards, [&](std::size_t s) {
-    traces[s] = backend_->run_traceback(shards[s].batch, outputs[s].results,
-                                        options_.traceback_settings, shards[s].lane);
+    traces[s] =
+        backend_->run_traceback(shards[s].batch, outputs[s].results, shards[s].lane);
   });
   merge_traceback(batch.size(), shards, traces, out);
   return out;

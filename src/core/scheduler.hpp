@@ -51,7 +51,6 @@ struct SchedulerOptions {
   /// shard by shard on the same lanes and merges one TracedAlignment per
   /// pair back in input order (AlignOutput::traced).
   bool traceback = false;
-  TracebackSettings traceback_settings;
   /// Chaining-phase shard cap in tasks: 0 = one shard per backend lane.
   /// Like max_shard_pairs but for BatchScheduler::chain — capped shards let
   /// a fast lane own several like-cost runs (weighted LPT on anchor work).

@@ -42,24 +42,37 @@ TEST(HostBackend, BandedZdropRunMatchesScalarOracle) {
   EXPECT_EQ(got.cells, want.cells);
 }
 
+// The phase counts each cohort-traced pair's own endpoint rectangle, rows
+// [0, ref_end] x columns [0, query_end] (all of it in band here: the batch is
+// full-table), whatever lanes or threads it shared.
 TEST(HostBackend, TracebackPhaseMatchesScalarOracle) {
   auto batch = saloba::testing::related_batch(803, 20, 90, 130);
-  HostBackend simd{align::ScoringScheme{}, 1};
-  auto score = simd.run(batch, 0);
-  auto got = simd.run_traceback(batch, score.results, TracebackSettings{}, 0);
-  ASSERT_EQ(got.traced.size(), batch.size());
-  std::size_t cells = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (score.results[i].score <= 0) {
-      EXPECT_EQ(got.traced[i], align::TracedAlignment{}) << "pair " << i;
-      continue;
+  for (int threads : {1, 3}) {
+    HostBackend simd{align::ScoringScheme{}, 1, threads};
+    auto score = simd.run(batch, 0);
+    auto got = simd.run_traceback(batch, score.results, 0);
+    ASSERT_EQ(got.traced.size(), batch.size());
+    std::size_t cells = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (score.results[i].score <= 0) {
+        EXPECT_EQ(got.traced[i], align::TracedAlignment{}) << "pair " << i;
+        continue;
+      }
+      auto want =
+          align::banded_traceback(batch.refs[i], batch.queries[i], align::ScoringScheme{});
+      EXPECT_EQ(got.traced[i], want.traced) << "pair " << i;
+      EXPECT_EQ(got.traced[i].end, score.results[i]) << "pair " << i;
+      cells += static_cast<std::size_t>(score.results[i].ref_end + 1) *
+               static_cast<std::size_t>(score.results[i].query_end + 1);
     }
-    auto want = align::banded_traceback(batch.refs[i], batch.queries[i], align::ScoringScheme{});
-    EXPECT_EQ(got.traced[i], want.traced) << "pair " << i;
-    EXPECT_EQ(got.traced[i].end, score.results[i]) << "pair " << i;
-    cells += want.stats.cells();
+    EXPECT_EQ(got.cells, cells) << threads << " threads";
+    // A cohort of its own traces a pair with the same cells.
+    seq::PairBatch first;
+    first.add(batch.queries[0], batch.refs[0]);
+    EXPECT_EQ(simd.run_traceback(first, std::span(score.results).first(1), 0).cells,
+              static_cast<std::size_t>(score.results[0].ref_end + 1) *
+                  static_cast<std::size_t>(score.results[0].query_end + 1));
   }
-  EXPECT_EQ(got.cells, cells);
 }
 
 TEST(MakeBackend, HostBranchBuildsCpuLanesWhateverTheDevice) {

@@ -132,7 +132,7 @@ TEST(TracebackPhase, BackendRunTracebackSkipsZeroScorePairs) {
   HostBackend backend(scoring, 1);
   auto results = backend.run(batch, 0).results;
   ASSERT_EQ(results[1].score, 0);
-  auto tb = backend.run_traceback(batch, results, TracebackSettings{}, 0);
+  auto tb = backend.run_traceback(batch, results, 0);
   ASSERT_EQ(tb.traced.size(), 2u);
   EXPECT_EQ(tb.traced[0].cigar, "4M");
   EXPECT_EQ(tb.traced[0].end, results[0]);

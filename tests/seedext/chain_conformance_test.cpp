@@ -201,7 +201,9 @@ TEST(ChainConformance, ShardsPartitionTasks) {
       EXPECT_FALSE(s.tasks.empty());
       EXPECT_GE(s.lane, 0);
       EXPECT_LT(s.lane, 3);
-      if (cap > 0) EXPECT_LE(s.tasks.size(), cap);
+      if (cap > 0) {
+        EXPECT_LE(s.tasks.size(), cap);
+      }
       std::size_t work = 0;
       for (std::size_t t : s.tasks) {
         ASSERT_LT(t, batch.tasks());
