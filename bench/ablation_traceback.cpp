@@ -8,12 +8,14 @@
 //      records the batched pipeline emits are byte-identical to the legacy
 //      per-read full-matrix recompute.
 //   3. The batched CIGAR pipeline (ReadMapper::map_batch with the traceback
-//      stage: one host-parallel linear-memory batch) beats the legacy path —
-//      a serial O(N*M)-memory smith_waterman_traceback per mapped read on
-//      the caller thread — on wall clock. The workload is long reads, where
-//      the full matrix (tens of MB per read) thrashes and the engine's
-//      O(rows·band) working set does not; on multi-core hosts the batch
-//      additionally parallelizes while the legacy path cannot.
+//      stage: one in-process batch through seedext::trace_windows, the SIMD
+//      score pass plus traceback_batch, whose oversize pairs run the
+//      linear-memory engine) beats the legacy path — a serial
+//      O(N*M)-memory smith_waterman_traceback per mapped read on the caller
+//      thread — on wall clock. The workload is long reads, where the full
+//      matrix (tens of MB per read) thrashes and the engines' working sets
+//      do not; on multi-core hosts the batch additionally parallelizes
+//      while the legacy path cannot.
 //   4. The simulated backend reports the score-vs-traceback phase split
 //      (AlignOutput::time_ms vs traceback_ms, KernelStats traceback_cells).
 //   5. On the short-read window workload (250 bp Illumina reads, each traced
@@ -196,10 +198,10 @@ int main(int argc, char** argv) {
     return out;
   };
 
-  // Batched: the traceback stage runs as one host-parallel linear-memory
-  // batch (null trace = the mapper's in-process engine; a traced extender
-  // routes the same batch through the scheduler instead) and to_sam_record
-  // just consumes the stored CIGARs.
+  // Batched: the traceback stage runs as one in-process batch (null trace =
+  // seedext::trace_windows; a traced extender routes the same batch through
+  // the scheduler instead) and to_sam_record just consumes the stored
+  // CIGARs.
   std::vector<seedext::ReadMapping> mappings;
   auto time_batched = [&](int repeats, double& ms_out) {
     std::vector<seq::SamRecord> out;

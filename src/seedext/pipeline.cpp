@@ -7,7 +7,6 @@
 #include "align/sw_banded.hpp"
 #include "core/align_service.hpp"
 #include "align/sw_reference.hpp"
-#include "align/traceback_engine.hpp"
 #include "seedext/sam_output.hpp"
 #include "seq/chunk_reader.hpp"
 #include "seq/sam.hpp"
@@ -213,12 +212,7 @@ void ReadMapper::attach_tracebacks(std::span<const std::vector<seq::BaseCode>> r
                      "traced extender returned " << traced.size() << " traces for "
                                                  << batch.size() << " pairs");
   } else {
-    // In-process fallback: the linear-memory engine, host-parallel.
-    traced.resize(batch.size());
-    util::parallel_for_indexed(batch.size(), [&](std::size_t p) {
-      traced[p] =
-          align::banded_traceback(batch.refs[p], batch.queries[p], params_.scoring).traced;
-    });
+    traced = trace_windows(batch, params_.scoring);
   }
   for (std::size_t p = 0; p < batch.size(); ++p) {
     mappings[index[p]].traced = std::move(traced[p]);

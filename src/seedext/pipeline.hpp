@@ -109,8 +109,8 @@ using BatchExtender =
 /// of a PairBatch, one TracedAlignment per pair in input order.
 /// core::Aligner::traced_extender() (AlignerOptions::traceback = true)
 /// adapts the scheduler-backed public path to this signature; a null
-/// TracedBatchExtender makes the mapper fall back to the in-process
-/// linear-memory engine (align::banded_traceback), host-parallel.
+/// TracedBatchExtender makes the mapper fall back to the in-process SIMD
+/// score pass and cohort traceback (seedext::trace_windows).
 using TracedBatchExtender =
     std::function<std::vector<align::TracedAlignment>(const seq::PairBatch&)>;
 
@@ -170,7 +170,7 @@ class ReadMapper {
   /// Batched mapping with the traceback phase attached: after the extension
   /// stage, every mapped read's (oriented read, genome window) pair is
   /// gathered into one batch and traced through `trace` (null = the
-  /// in-process linear-memory engine), so each ReadMapping carries the
+  /// in-process seedext::trace_windows), so each ReadMapping carries the
   /// CIGAR SAM emission needs — no per-read DP anywhere downstream.
   std::vector<ReadMapping> map_batch(std::span<const std::vector<seq::BaseCode>> reads,
                                      const BatchExtender& extend,

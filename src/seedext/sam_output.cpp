@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 
+#include "align/simd_engine.hpp"
 #include "align/traceback_engine.hpp"
 #include "util/check.hpp"
 
@@ -26,6 +27,22 @@ MappedWindow mapped_window(std::size_t genome_len, std::size_t ref_pos,
   win.start = ref_pos > slack ? ref_pos - slack : 0;
   win.end = std::min(genome_len, ref_pos + oriented_len + slack);
   return win;
+}
+
+std::vector<align::TracedAlignment> trace_windows(const seq::PairBatch& batch,
+                                                  const align::ScoringScheme& scoring) {
+  if (batch.size() == 1) {
+    return {align::banded_traceback(batch.refs[0], batch.queries[0], scoring,
+                                    align::TracebackParams{batch.band_of(0)})
+                .traced};
+  }
+  const std::vector<align::AlignmentResult> ends = align::simd::align_batch(batch, scoring);
+  std::vector<align::TracebackResult> traces =
+      align::simd::traceback_batch(batch, ends, scoring);
+  std::vector<align::TracedAlignment> out;
+  out.reserve(traces.size());
+  for (align::TracebackResult& t : traces) out.push_back(std::move(t.traced));
+  return out;
 }
 
 seq::SamRecord to_sam_record(const ReadMapper& mapper, const seq::Sequence& read,
@@ -53,14 +70,13 @@ seq::SamRecord to_sam_record(const ReadMapper& mapper, const seq::Sequence& read
     // The batched traceback phase already produced this window's CIGAR.
     traced = mapping.traced;
   } else {
-    // Fallback for mappings that never went through the phase: the same
-    // linear-memory engine, one pair at a time.
     const auto& genome = mapper.genome();
-    std::vector<seq::BaseCode> oriented =
-        mapping.reverse_strand ? seq::reverse_complement(read.bases) : read.bases;
-    std::span<const seq::BaseCode> window(genome.data() + win.start, win.end - win.start);
-    traced =
-        align::banded_traceback(window, oriented, mapper.params().scoring).traced;
+    seq::PairBatch batch;
+    batch.add(mapping.reverse_strand ? seq::reverse_complement(read.bases) : read.bases,
+              std::vector<seq::BaseCode>(
+                  genome.begin() + static_cast<std::ptrdiff_t>(win.start),
+                  genome.begin() + static_cast<std::ptrdiff_t>(win.end)));
+    traced = std::move(trace_windows(batch, mapper.params().scoring).front());
   }
   if (traced.end.score <= 0) {
     record.flags |= seq::SamRecord::kFlagUnmapped;

@@ -30,32 +30,87 @@ Seed extend_exact(std::span<const seq::BaseCode> genome, std::span<const seq::Ba
   return seed;
 }
 
-/// The one k-mer seeding implementation: `index` is anything with k() and a
-/// lookup(kmer) returning an iterable position list (KmerIndex's span view,
-/// ShardedKmerIndex's merged global vector). The max_hits repeat filter
-/// applies to whatever lookup returned — for the sharded index that is the
-/// merged list, so both paths agree by construction.
-template <class Index>
-std::vector<Seed> find_seeds_impl(const Index& index, std::span<const seq::BaseCode> genome,
-                                  std::span<const seq::BaseCode> read,
-                                  const SeedingParams& params) {
-  std::vector<Seed> seeds;
-  if (read.size() < static_cast<std::size_t>(index.k())) return seeds;
+/// Rolling 2-bit keys (KmerIndex::pack_kmer's form) of the sampled read
+/// positions q = 0, stride, 2 * stride, ... up to read.size() - k; a window
+/// holding an N gets kNoKey, which no index holds.
+constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
-  // Dedup extended seeds: a (diagonal, end) pair identifies a maximal match.
-  std::set<std::pair<std::int64_t, std::uint32_t>> seen;
-
-  const std::size_t last_q = read.size() - static_cast<std::size_t>(index.k());
-  for (std::size_t q = 0; q <= last_q; q += static_cast<std::size_t>(params.stride)) {
-    auto hits = index.lookup(read.subspan(q));
-    if (hits.empty() || hits.size() > params.max_hits) continue;
-    for (std::uint32_t rpos : hits) {
-      Seed seed{static_cast<std::uint32_t>(q), rpos, static_cast<std::uint32_t>(index.k())};
-      seed = extend_exact(genome, read, seed);
-      if (seed.len < static_cast<std::uint32_t>(params.min_seed_len)) continue;
-      auto key = std::make_pair(seed.diagonal(), seed.qpos + seed.len);
-      if (seen.insert(key).second) seeds.push_back(seed);
+std::vector<std::uint64_t> sampled_keys(std::span<const seq::BaseCode> read, int k,
+                                        const SeedingParams& params) {
+  SALOBA_CHECK_MSG(params.stride >= 1, "seeding stride must be >= 1, got " << params.stride);
+  std::vector<std::uint64_t> keys;
+  const auto width = static_cast<std::size_t>(k);
+  if (read.size() < width) return keys;
+  const auto stride = static_cast<std::size_t>(params.stride);
+  keys.reserve((read.size() - width) / stride + 1);
+  const std::uint64_t mask = KmerIndex::kmer_mask(k);
+  std::uint64_t key = 0;
+  std::size_t valid = 0;  // consecutive non-N bases, capped at k
+  for (std::size_t i = 0; i < read.size(); ++i) {
+    if (read[i] >= 4) {
+      valid = 0;
+      key = 0;
+    } else {
+      key = ((key << 2) | read[i]) & mask;
+      if (valid < width) ++valid;
     }
+    if (i + 1 >= width && (i + 1 - width) % stride == 0) {
+      keys.push_back(valid == width ? key : kNoKey);
+    }
+  }
+  return keys;
+}
+
+/// The maximal match last extended on one diagonal, by its read end.
+struct DiagonalEnd {
+  std::int64_t diagonal;
+  std::uint32_t end;
+};
+
+/// The one k-mer seeding loop, for the monolithic and the sharded index
+/// alike: runs[s] is the (ascending) hit list of sampled position s, looked
+/// up for the whole read in one batch so the index reads overlap. A hit
+/// inside the maximal match last extended on its diagonal extends to that
+/// same match, so it is skipped: each maximal match is extended once, and
+/// the seeds need no dedup. The max_hits repeat filter judges each full
+/// hit list (for the sharded index, the merged one).
+std::vector<Seed> extend_hits(std::span<const std::span<const std::uint32_t>> runs, int k,
+                              std::span<const seq::BaseCode> genome,
+                              std::span<const seq::BaseCode> read,
+                              const SeedingParams& params) {
+  std::vector<Seed> seeds;
+  const auto width = static_cast<std::size_t>(k);
+  // Records ascending by diagonal; one is dropped once no later k-mer can
+  // lie inside its match (q + k > end).
+  std::vector<DiagonalEnd> live;
+  std::vector<DiagonalEnd> next;
+  for (std::size_t s = 0; s < runs.size(); ++s) {
+    const std::span<const std::uint32_t> hits = runs[s];
+    if (hits.empty() || hits.size() > params.max_hits) continue;
+    const std::size_t q = s * static_cast<std::size_t>(params.stride);
+    next.clear();
+    std::size_t r = 0;
+    auto keep = [&](const DiagonalEnd& rec) {
+      if (rec.end >= q + width) next.push_back(rec);
+    };
+    for (std::uint32_t rpos : hits) {  // ascending, so diagonals ascend too
+      const std::int64_t diagonal = static_cast<std::int64_t>(rpos) - static_cast<std::int64_t>(q);
+      while (r < live.size() && live[r].diagonal < diagonal) keep(live[r++]);
+      if (r < live.size() && live[r].diagonal == diagonal) {
+        const DiagonalEnd rec = live[r++];
+        if (rec.end >= q + width) {  // inside the recorded match: already extended
+          next.push_back(rec);
+          continue;
+        }
+      }
+      const Seed seed = extend_exact(
+          genome, read,
+          Seed{static_cast<std::uint32_t>(q), rpos, static_cast<std::uint32_t>(k)});
+      next.push_back(DiagonalEnd{diagonal, seed.qpos + seed.len});
+      if (seed.len >= static_cast<std::uint32_t>(params.min_seed_len)) seeds.push_back(seed);
+    }
+    while (r < live.size()) keep(live[r++]);
+    live.swap(next);
   }
   std::sort(seeds.begin(), seeds.end(), [](const Seed& a, const Seed& b) {
     return a.qpos != b.qpos ? a.qpos < b.qpos : a.rpos < b.rpos;
@@ -68,14 +123,21 @@ std::vector<Seed> find_seeds_impl(const Index& index, std::span<const seq::BaseC
 std::vector<Seed> find_seeds(const KmerIndex& index, std::span<const seq::BaseCode> genome,
                              std::span<const seq::BaseCode> read,
                              const SeedingParams& params) {
-  return find_seeds_impl(index, genome, read, params);
+  const std::vector<std::uint64_t> keys = sampled_keys(read, index.k(), params);
+  std::vector<std::span<const std::uint32_t>> runs(keys.size());
+  index.lookup_batch(keys, runs);
+  return extend_hits(runs, index.k(), genome, read, params);
 }
 
 std::vector<Seed> find_seeds(const ShardedKmerIndex& index,
                              std::span<const seq::BaseCode> genome,
                              std::span<const seq::BaseCode> read,
                              const SeedingParams& params) {
-  return find_seeds_impl(index, genome, read, params);
+  const std::vector<std::uint64_t> keys = sampled_keys(read, index.k(), params);
+  std::vector<std::uint32_t> merged;
+  std::vector<std::span<const std::uint32_t>> runs(keys.size());
+  index.lookup_batch(keys, merged, runs);
+  return extend_hits(runs, index.k(), genome, read, params);
 }
 
 std::vector<Seed> find_seeds_fm(const FmIndex& index, std::span<const seq::BaseCode> read,

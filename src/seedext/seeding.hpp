@@ -32,8 +32,10 @@ struct SeedingParams {
   int stride = 1;            ///< query positions sampled for k-mer seeding
 };
 
-/// K-mer seeding: k-mer hits extended to maximal exact matches, deduplicated
-/// by (diagonal, end position), filtered to len >= min_seed_len.
+/// K-mer seeding: k-mer hits extended to maximal exact matches, filtered to
+/// len >= min_seed_len, each maximal match reported once (a hit inside the
+/// match last extended on its diagonal is skipped, not re-extended), sorted
+/// by (qpos, rpos). Hit lists longer than max_hits are dropped whole.
 std::vector<Seed> find_seeds(const KmerIndex& index, std::span<const seq::BaseCode> genome,
                              std::span<const seq::BaseCode> read, const SeedingParams& params);
 

@@ -32,11 +32,20 @@ struct SectionLayout {
   std::size_t keys = 0;
   std::size_t offsets = 0;
   std::size_t entries = 0;
+  std::size_t buckets = 0;
   std::size_t bwt = 0;
   std::size_t checkpoints = 0;
   std::size_t sa = 0;
   std::size_t total = 0;
 };
+
+/// Bucket-table slots of the k-mer section, from the header's k and key
+/// count alone. A header k outside the index's range (rejected before any
+/// section is read) sizes an empty table.
+std::size_t bucket_slots(const IndexFileHeader& h) {
+  if (h.k < KmerIndex::kMinK || h.k > KmerIndex::kMaxK) return 0;
+  return (std::size_t{1} << KmerIndex::bucket_bits(static_cast<int>(h.k), h.kmer_keys)) + 1;
+}
 
 SectionLayout layout_of(const IndexFileHeader& h) {
   SectionLayout lay;
@@ -48,6 +57,8 @@ SectionLayout layout_of(const IndexFileHeader& h) {
     at += (h.kmer_keys + 1) * sizeof(std::uint32_t);
     lay.entries = at;
     at = align8(at + h.kmer_entries * sizeof(std::uint32_t));
+    lay.buckets = at;
+    at = align8(at + bucket_slots(h) * sizeof(std::uint32_t));
   }
   if (h.flags & kFlagFm) {
     lay.bwt = at;
@@ -141,7 +152,7 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
         << " (truncated or trailing garbage)";
     reject(path, oss.str());
   }
-  if (util::fnv1a64(payload) != h.payload_checksum) {
+  if (util::fnv1a64_4lane(payload) != h.payload_checksum) {
     reject(path, "payload checksum mismatch (corrupted)");
   }
 
@@ -167,10 +178,16 @@ std::shared_ptr<const SharedIndex> SharedIndex::load(const std::string& path,
         reinterpret_cast<const std::uint32_t*>(base + lay.offsets), h.kmer_keys + 1);
     std::span<const std::uint32_t> entries(
         reinterpret_cast<const std::uint32_t*>(base + lay.entries), h.kmer_entries);
-    if (!offsets.empty() && offsets.back() != entries.size()) {
+    std::span<const std::uint32_t> buckets(
+        reinterpret_cast<const std::uint32_t*>(base + lay.buckets), bucket_slots(h));
+    if (offsets.back() != entries.size()) {
       reject(path, "k-mer offsets do not delimit the entry array");
     }
-    out->kmer_.emplace(static_cast<int>(h.k), keys, offsets, entries);
+    if (buckets.front() != 0 || buckets.back() != keys.size() ||
+        std::adjacent_find(buckets.begin(), buckets.end(), std::greater<>()) != buckets.end()) {
+      reject(path, "k-mer bucket table does not partition the key array");
+    }
+    out->kmer_.emplace(static_cast<int>(h.k), keys, offsets, entries, buckets);
   }
   if (options.fm) {
     std::span<const std::uint8_t> bwt(reinterpret_cast<const std::uint8_t*>(base + lay.bwt),
@@ -239,13 +256,14 @@ void write_shared_index(const std::string& path, std::span<const seq::BaseCode> 
     put(lay.keys, kmer->keys().data(), kmer->keys().size_bytes());
     put(lay.offsets, kmer->offsets().data(), kmer->offsets().size_bytes());
     put(lay.entries, kmer->entries().data(), kmer->entries().size_bytes());
+    put(lay.buckets, kmer->buckets().data(), kmer->buckets().size_bytes());
   }
   if (fm != nullptr) {
     put(lay.bwt, fm->bwt().data(), fm->bwt().size_bytes());
     put(lay.checkpoints, fm->checkpoints().data(), fm->checkpoints().size_bytes());
     put(lay.sa, fm->suffix_array().data(), fm->suffix_array().size_bytes());
   }
-  h.payload_checksum = util::fnv1a64(payload);
+  h.payload_checksum = util::fnv1a64_4lane(payload);
 
   // Atomic publish: write a sibling temp file, fsync-free rename into place.
   // A concurrent loader sees either the old file or the complete new one.
@@ -435,21 +453,41 @@ std::vector<double> ShardedKmerIndex::lane_loads() const {
 
 std::vector<std::uint32_t> ShardedKmerIndex::lookup(
     std::span<const seq::BaseCode> kmer) const {
+  std::vector<std::uint32_t> merged;
+  if (kmer.size() < static_cast<std::size_t>(k_)) return merged;
+  auto packed = KmerIndex::pack_kmer(kmer, k_);
+  if (!packed) return merged;
+  std::span<const std::uint32_t> run;
+  lookup_batch(std::span(&*packed, 1), merged, std::span(&run, 1));
+  return merged;
+}
+
+void ShardedKmerIndex::lookup_batch(std::span<const std::uint64_t> keys,
+                                    std::vector<std::uint32_t>& merged,
+                                    std::span<std::span<const std::uint32_t>> runs) const {
+  SALOBA_CHECK(runs.size() == keys.size());
+  const std::size_t n = keys.size();
+  std::vector<std::span<const std::uint32_t>> local(shards_.size() * n);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].index->kmer().lookup_batch(keys, std::span(local).subspan(s * n, n));
+  }
   // Each global k-mer start belongs to exactly one shard's owned range, and
   // per-shard hits are ascending — so filtered concatenation in shard order
-  // is the monolithic (sorted, duplicate-free) position list. The k-mer is
-  // packed once and every shard probed with the canonical key.
-  std::vector<std::uint32_t> out;
-  if (kmer.size() < static_cast<std::size_t>(k_)) return out;
-  auto packed = KmerIndex::pack_kmer(kmer, k_);
-  if (!packed) return out;
-  for (const Shard& s : shards_) {
-    for (std::uint32_t local : s.index->kmer().lookup_packed(*packed)) {
-      std::size_t global = s.begin + local;
-      if (global < s.end) out.push_back(static_cast<std::uint32_t>(global));
+  // is the monolithic (sorted, duplicate-free) position list.
+  merged.clear();
+  std::vector<std::size_t> starts(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      for (std::uint32_t pos : local[s * n + i]) {
+        const std::size_t global = shards_[s].begin + pos;
+        if (global < shards_[s].end) merged.push_back(static_cast<std::uint32_t>(global));
+      }
     }
+    starts[i + 1] = merged.size();
   }
-  return out;
+  for (std::size_t i = 0; i < n; ++i) {
+    runs[i] = std::span<const std::uint32_t>(merged).subspan(starts[i], starts[i + 1] - starts[i]);
+  }
 }
 
 }  // namespace saloba::seedext

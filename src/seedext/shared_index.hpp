@@ -15,18 +15,26 @@
 //     lanes by the PR 3 weighted-LPT machinery, whose merged lookups are
 //     bit-identical to the monolithic index.
 //
-// On-disk format (little-endian, all sections 8-byte aligned):
+// On-disk format, version 2 (little-endian, all sections 8-byte aligned):
 //   IndexFileHeader   magic "SLBAIDX\0", version, flags (kmer/FM sections),
 //                     k, FM checkpoint stride, genome length + FNV-1a
-//                     fingerprint, payload checksum, section element counts.
+//                     fingerprint (util::fnv1a64), payload checksum
+//                     (util::fnv1a64_4lane over every byte after the
+//                     header), section element counts.
 //                     genome length is stored as u64 but must not exceed
 //                     KmerIndex::kMaxReferenceBases — positions are 32-bit
 //                     on disk as in memory; larger references must shard.
-//   k-mer section     keys (u64), offsets (u32, keys+1), entries (u32) —
-//                     exactly KmerIndex's arrays.
+//   k-mer section     keys (u64), offsets (u32, keys+1), entries (u32),
+//                     bucket table (u32, 2^KmerIndex::bucket_bits(k, keys)
+//                     + 1) — exactly KmerIndex's arrays. The table's size
+//                     follows from the header's k and key count; the loader
+//                     checks it starts at 0, never decreases and ends at
+//                     the key count. It is stored, never derived at load.
 //   FM section        BWT codes (u8, n+1 rows), occurrence checkpoints
 //                     (6 x u32 each), suffix array (i32) — exactly
 //                     FmIndex's arrays; `first_` is derived on load.
+// Version 1 files (no bucket table, one-lane payload checksum) are rejected
+// with IndexFormatError; a caller that caches an index rebuilds it.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +79,7 @@ struct IndexFileHeader {
   std::uint32_t checkpoint_every;  ///< FM occ stride (0 without an FM section)
   std::uint64_t genome_bases;     ///< reference length; <= KmerIndex::kMaxReferenceBases
   std::uint64_t genome_checksum;  ///< util::fnv1a64 over the reference bytes
-  std::uint64_t payload_checksum; ///< util::fnv1a64 over everything after this header
+  std::uint64_t payload_checksum; ///< util::fnv1a64_4lane over everything after this header
   std::uint64_t kmer_keys;
   std::uint64_t kmer_entries;
   std::uint64_t fm_bwt_rows;
@@ -81,7 +89,7 @@ struct IndexFileHeader {
 };
 static_assert(sizeof(IndexFileHeader) == 96, "on-disk header layout is part of the format");
 
-inline constexpr std::uint32_t kIndexFormatVersion = 1;
+inline constexpr std::uint32_t kIndexFormatVersion = 2;
 
 /// One immutable, shareable reference index: a k-mer and/or FM index either
 /// built in memory or adopted zero-copy from a read-only mapping (which the
@@ -214,6 +222,13 @@ class ShardedKmerIndex {
   /// Merged global positions of the k-mer — bit-identical (same positions,
   /// same ascending order) to the monolithic KmerIndex::lookup.
   std::vector<std::uint32_t> lookup(std::span<const seq::BaseCode> kmer) const;
+
+  /// KmerIndex::lookup_batch's merged form: every shard looks all keys up
+  /// in one batch, then key i's merged global positions go to runs[i], a
+  /// view into `merged` (one buffer for the whole batch, overwritten here;
+  /// the views stay valid until the caller next changes it).
+  void lookup_batch(std::span<const std::uint64_t> keys, std::vector<std::uint32_t>& merged,
+                    std::span<std::span<const std::uint32_t>> runs) const;
 
  private:
   int k_;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "align/traceback.hpp"
+#include "align/traceback_engine.hpp"
+#include "../support/test_support.hpp"
 #include "seq/random_genome.hpp"
 #include "seq/read_simulator.hpp"
 
@@ -118,6 +120,46 @@ TEST(SamOutput, EndToEndSamFileParsesBack) {
   int mapped = 0;
   for (const auto& r : records) mapped += !r.unmapped();
   EXPECT_GE(mapped, 9);
+}
+
+TEST(SamOutput, TraceWindowsMatchesPerPairEngine) {
+  // Read-like windows (query inside a longer, mutated reference window),
+  // plus one pair that cannot score. A one-pair batch takes the per-pair
+  // engine, larger ones the SIMD cohorts; positive-score traces must be
+  // the per-pair engine's either way, and the zero-score pair scores 0.
+  util::Xoshiro256 rng(77);
+  std::vector<std::pair<std::vector<seq::BaseCode>, std::vector<seq::BaseCode>>> pairs;
+  for (int i = 0; i < 20; ++i) {
+    auto ref = saloba::testing::random_seq(rng, 150 + rng.below(200));
+    const std::size_t len = 60 + rng.below(ref.size() - 80);
+    const std::size_t at = rng.below(ref.size() - len + 1);
+    auto query = saloba::testing::mutate(
+        rng, std::vector<seq::BaseCode>(ref.begin() + static_cast<std::ptrdiff_t>(at),
+                                        ref.begin() + static_cast<std::ptrdiff_t>(at + len)),
+        0.05);
+    pairs.emplace_back(std::move(query), std::move(ref));
+  }
+  pairs.emplace_back(std::vector<seq::BaseCode>(50, seq::kBaseN),
+                     saloba::testing::random_seq(rng, 120));
+  const align::ScoringScheme scoring;
+  for (std::size_t size : {std::size_t{1}, std::size_t{2}, pairs.size()}) {
+    for (std::size_t first = 0; first + size <= pairs.size(); first += size) {
+      seq::PairBatch batch;
+      for (std::size_t i = first; i < first + size; ++i) batch.add(pairs[i].first, pairs[i].second);
+      batch.bands.assign(batch.size(), 0);
+      const auto traced = trace_windows(batch, scoring);
+      ASSERT_EQ(traced.size(), batch.size());
+      for (std::size_t p = 0; p < batch.size(); ++p) {
+        const auto want = align::banded_traceback(batch.refs[p], batch.queries[p], scoring).traced;
+        if (want.end.score > 0) {
+          EXPECT_EQ(traced[p], want) << "batch of " << size << ", pair " << first + p;
+        } else {
+          EXPECT_EQ(traced[p].end.score, 0) << "batch of " << size << ", pair " << first + p;
+          EXPECT_TRUE(traced[p].cigar.empty());
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

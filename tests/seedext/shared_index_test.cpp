@@ -4,7 +4,9 @@
 // bit-identical to the monolithic index, weighted-LPT lane placement), and
 // end-to-end SAM byte-identity through ReadMapper for the mmap-backed and
 // sharded seeding paths.
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,6 +24,7 @@
 #include "seq/read_simulator.hpp"
 #include "seq/sam.hpp"
 #include "../support/test_support.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace saloba::seedext {
@@ -66,9 +69,31 @@ void expect_same_kmer_arrays(const KmerIndex& a, const KmerIndex& b) {
   ASSERT_EQ(a.keys().size(), b.keys().size());
   ASSERT_EQ(a.offsets().size(), b.offsets().size());
   ASSERT_EQ(a.entries().size(), b.entries().size());
+  ASSERT_EQ(a.buckets().size(), b.buckets().size());
   EXPECT_TRUE(std::equal(a.keys().begin(), a.keys().end(), b.keys().begin()));
   EXPECT_TRUE(std::equal(a.offsets().begin(), a.offsets().end(), b.offsets().begin()));
   EXPECT_TRUE(std::equal(a.entries().begin(), a.entries().end(), b.entries().begin()));
+  EXPECT_TRUE(std::equal(a.buckets().begin(), a.buckets().end(), b.buckets().begin()));
+}
+
+/// Recomputes a file image's payload checksum (util::fnv1a64_4lane over
+/// every byte after the header), so a test's edit reaches the section
+/// checks instead of failing the checksum.
+void rewrite_checksum(std::string& bytes) {
+  const std::uint64_t sum = util::fnv1a64_4lane(std::as_bytes(
+      std::span(bytes.data() + sizeof(IndexFileHeader), bytes.size() - sizeof(IndexFileHeader))));
+  std::memcpy(bytes.data() + offsetof(IndexFileHeader, payload_checksum), &sum, sizeof(sum));
+}
+
+/// Message of the IndexFormatError `load` throws (empty if it loads).
+std::string load_error(const std::string& path, std::span<const seq::BaseCode> genome,
+                       const IndexOptions& options) {
+  try {
+    SharedIndex::load(path, genome, options);
+  } catch (const IndexFormatError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(SharedIndexRoundTrip, KmerBitIdenticalAcrossKBoundaries) {
@@ -88,6 +113,8 @@ TEST(SharedIndexRoundTrip, KmerBitIdenticalAcrossKBoundaries) {
     EXPECT_EQ(loaded->genome_bases(), genome.size());
     EXPECT_EQ(loaded->genome_checksum(), built->genome_checksum());
     expect_same_kmer_arrays(built->kmer(), loaded->kmer());
+    EXPECT_EQ(loaded->kmer().buckets().size(),
+              (std::size_t{1} << KmerIndex::bucket_bits(k, built->kmer().distinct_kmers())) + 1);
 
     util::Xoshiro256 rng(99);
     SeedingParams params;
@@ -204,6 +231,72 @@ TEST_F(RejectionFixture, RejectsWrongVersion) {
   bytes[8] = static_cast<char>(kIndexFormatVersion + 1);  // header version field
   spew(path, bytes);
   EXPECT_THROW(SharedIndex::load(path, genome, options), IndexFormatError);
+}
+
+TEST_F(RejectionFixture, RejectsVersionOneFile) {
+  // A genuine version-1 image: the same header, the k-mer section without
+  // a bucket table, and the one-lane fnv1a64 payload checksum it carried.
+  auto built = SharedIndex::build(genome, options);
+  const KmerIndex& kmer = built->kmer();
+  std::string payload;
+  auto append = [&](const void* data, std::size_t n) {
+    payload.append(static_cast<const char*>(data), n);
+  };
+  append(kmer.keys().data(), kmer.keys().size_bytes());
+  append(kmer.offsets().data(), kmer.offsets().size_bytes());
+  append(kmer.entries().data(), kmer.entries().size_bytes());
+  payload.resize((payload.size() + 7) & ~std::size_t{7}, '\0');
+
+  std::string bytes = slurp(path);
+  IndexFileHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  ASSERT_EQ(h.version, 2u);
+  h.version = 1;
+  h.payload_checksum = util::fnv1a64(std::as_bytes(std::span(payload.data(), payload.size())));
+  std::string v1(reinterpret_cast<const char*>(&h), sizeof(h));
+  spew(path, v1 + payload);
+  EXPECT_NE(load_error(path, genome, options).find("format version 1"), std::string::npos);
+}
+
+/// The bucket table's byte offset in the fixture's file: it follows the
+/// keys, offsets and entries, 8-byte aligned.
+std::size_t bucket_section_offset(const KmerIndex& kmer) {
+  const std::size_t before = kmer.keys().size_bytes() + kmer.offsets().size_bytes() +
+                             kmer.entries().size_bytes();
+  return sizeof(IndexFileHeader) + ((before + 7) & ~std::size_t{7});
+}
+
+TEST_F(RejectionFixture, RejectsMalformedBucketTable) {
+  auto built = SharedIndex::build(genome, options);
+  const KmerIndex& kmer = built->kmer();
+  const std::size_t slots = kmer.buckets().size();
+  ASSERT_GT(slots, 4u);
+  const std::string good = slurp(path);
+  const std::size_t at = bucket_section_offset(kmer);
+  ASSERT_EQ(std::memcmp(good.data() + at, kmer.buckets().data(), kmer.buckets().size_bytes()), 0);
+  auto slot = [&](std::string& bytes, std::size_t i, std::uint32_t value) {
+    std::memcpy(bytes.data() + at + i * sizeof(std::uint32_t), &value, sizeof(value));
+  };
+
+  std::string inverted = good;  // one slot above its successor
+  slot(inverted, slots / 2, kmer.buckets()[slots / 2 + 1] + 1);
+  std::string first_nonzero = good;
+  slot(first_nonzero, 0, 1);
+  std::string short_last = good;
+  slot(short_last, slots - 1, static_cast<std::uint32_t>(kmer.distinct_kmers() - 1));
+  std::string long_last = good;
+  slot(long_last, slots - 1, static_cast<std::uint32_t>(kmer.distinct_kmers() + 1));
+  for (std::string* bytes : {&inverted, &first_nonzero, &short_last, &long_last}) {
+    rewrite_checksum(*bytes);
+    spew(path, *bytes);
+    EXPECT_NE(load_error(path, genome, options).find("bucket table"), std::string::npos);
+  }
+  // The helper itself leaves a good image loadable.
+  std::string resummed = good;
+  rewrite_checksum(resummed);
+  EXPECT_EQ(resummed, good);
+  spew(path, resummed);
+  EXPECT_EQ(load_error(path, genome, options), "");
 }
 
 TEST_F(RejectionFixture, RejectsDifferentGenome) {
